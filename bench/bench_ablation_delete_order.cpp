@@ -35,7 +35,7 @@ constexpr Variant kVariants[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   std::cout << "=== Ablation: MTD/MBU delete order (Section 6.3) ===\n"
             << "plan: " << scale.trees << " trees/lambda, size " << scale.minSize
@@ -104,3 +104,5 @@ int main(int argc, char** argv) {
                "ones, most visibly for MBU at high load\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -16,7 +16,7 @@
 using namespace treeplace;
 using namespace treeplace::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   std::cout << "=== Ablation: refined vs rational lower bound (Section 7.1) ===\n"
             << "plan: " << scale.trees << " trees/lambda, size " << scale.minSize
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
                "program is allowed to buy\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -15,7 +15,7 @@
 using namespace treeplace;
 using namespace treeplace::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   const Options options(argc, argv);
   const double lambda = options.getDoubleOr("lambda", 0.6);
@@ -80,3 +80,5 @@ int main(int argc, char** argv) {
                "demand\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -34,7 +34,7 @@ struct LambdaCounts {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   const Options options(argc, argv);
   const double bwFraction = options.getDoubleOr("bw-fraction", 0.4);
@@ -130,3 +130,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -17,7 +17,7 @@
 using namespace treeplace;
 using namespace treeplace::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   std::cout << "=== Extension: composite objectives + local search (8.2) ===\n"
             << "plan: " << scale.trees << " trees, size " << scale.minSize << ".."
@@ -85,3 +85,5 @@ int main(int argc, char** argv) {
                "(fewer); the search never degrades the objective\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -21,7 +21,7 @@
 using namespace treeplace;
 using namespace treeplace::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Scale scale = readScale(argc, argv);
   const Options options(argc, argv);
   const double qosFraction = options.getDoubleOr("qos-fraction", 0.5);
@@ -86,3 +86,5 @@ int main(int argc, char** argv) {
                "success\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

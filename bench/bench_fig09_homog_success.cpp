@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace treeplace;
   using namespace treeplace::bench;
 
@@ -27,3 +27,5 @@ int main(int argc, char** argv) {
   maybeWriteJson(argc, argv, "fig09_homog_success.json", result);
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

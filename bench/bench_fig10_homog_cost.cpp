@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace treeplace;
   using namespace treeplace::bench;
 
@@ -26,3 +26,5 @@ int main(int argc, char** argv) {
   maybeWriteJson(argc, argv, "fig10_homog_cost.json", result);
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

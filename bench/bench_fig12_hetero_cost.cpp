@@ -4,7 +4,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace treeplace;
   using namespace treeplace::bench;
 
@@ -24,3 +24,5 @@ int main(int argc, char** argv) {
   maybeWriteJson(argc, argv, "fig12_hetero_cost.json", result);
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -32,7 +32,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -72,11 +71,12 @@ double millis(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<int> parseSizes(const std::string& text) {
+/// A --name=s1,s2,... size list through the strict list getter.
+std::vector<int> readSizes(const Options& options, const std::string& name,
+                           std::vector<std::int64_t> fallback) {
   std::vector<int> sizes;
-  std::stringstream in(text);
-  std::string token;
-  while (std::getline(in, token, ',')) sizes.push_back(std::stoi(token));
+  for (const std::int64_t s : options.getIntListOr(name, std::move(fallback)))
+    sizes.push_back(static_cast<int>(s));
   return sizes;
 }
 
@@ -231,10 +231,10 @@ struct SparseDenseRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   const std::vector<int> sizes =
-      parseSizes(options.getOr("sizes", "200,400,800,1600"));
+      readSizes(options, "sizes", {200, 400, 800, 1600});
   const int reductionMax = static_cast<int>(options.getIntOr("reduction-max", 14));
   const int repeats = std::max(1, static_cast<int>(options.getIntOr("repeats", 5)));
   const auto threads = static_cast<std::size_t>(options.getIntOr("threads", 0));
@@ -593,7 +593,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(f) Large scale — width-capped streaming frontier DPs on "
                "10^4..10^6-vertex trees (single run each)\n";
   const std::vector<int> largeSizes =
-      parseSizes(options.getOr("large-sizes", "10000,100000,500000,1000000"));
+      readSizes(options, "large-sizes", {10000, 100000, 500000, 1000000});
   std::vector<LargeRow> largeRows;
   {
     // Profile chosen to stay feasible under all three policies at s = 10^6:
@@ -737,7 +737,7 @@ int main(int argc, char** argv) {
   const std::size_t rssSparse = bench::peakRssBytes();
 
   const std::vector<int> mutateSizes =
-      parseSizes(options.getOr("mutate-sizes", "1000,10000,100000"));
+      readSizes(options, "mutate-sizes", {1000, 10000, 100000});
   const int mutateSteps =
       std::max(1, static_cast<int>(options.getIntOr("mutate-steps", 300)));
   std::cout << "\n(h) Incremental re-optimization — dirty-subtree frontier "
@@ -811,7 +811,7 @@ int main(int argc, char** argv) {
   const std::size_t rssIncremental = bench::peakRssBytes();
 
   const std::vector<int> resilienceSizes =
-      parseSizes(options.getOr("resilience-sizes", "10000,100000"));
+      readSizes(options, "resilience-sizes", {10000, 100000});
   std::cout << "\n(i) Deadline-aware resilient pipeline — every solver path "
                "granted 10% of its scratch exact wall time\n";
   std::vector<ResilienceRow> resilienceRows;
@@ -1441,3 +1441,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -108,7 +108,7 @@ std::string_view kindName(DeltaKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   const auto& files = options.positionals();
   const long genNodes = options.getIntOr("nodes", 0);
@@ -353,3 +353,5 @@ int main(int argc, char** argv) {
             << (stats.arenaSets == 1 ? "" : "s") << '\n';
   return failures == 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

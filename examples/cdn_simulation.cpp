@@ -71,7 +71,7 @@ ProblemInstance buildCdn(int metros, int accessPerMetro, int sitesPerAccess,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   const int metros = static_cast<int>(options.getIntOr("metros", 4));
   const int access = static_cast<int>(options.getIntOr("access", 3));
@@ -154,3 +154,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

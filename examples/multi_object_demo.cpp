@@ -14,7 +14,7 @@
 
 using namespace treeplace;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   Prng rng(static_cast<std::uint64_t>(options.getIntOr("seed", 3)));
 
@@ -75,3 +75,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

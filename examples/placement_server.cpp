@@ -45,9 +45,11 @@ using SteadyClock = std::chrono::steady_clock;
 namespace {
 
 OnlinePolicy parsePolicy(const std::string& name) {
+  if (name == "multiple") return OnlinePolicy::Multiple;
   if (name == "closest") return OnlinePolicy::Closest;
   if (name == "qos") return OnlinePolicy::ClosestQos;
-  return OnlinePolicy::Multiple;
+  throw OptionError("option --policy=" + name +
+                    ": unknown policy (valid: multiple, closest, qos)");
 }
 
 std::optional<fault::Plan> parseFaultPlan(const std::string& tokens,
@@ -58,17 +60,19 @@ std::optional<fault::Plan> parseFaultPlan(const std::string& tokens,
   plan.seed = seed;
   std::stringstream in(tokens);
   std::string tok;
-  bool any = false;
   while (std::getline(in, tok, ',')) {
     const bool all = tok == "all";
-    if (all || tok == "alloc") plan.armSite(fault::Site::Allocation, period), any = true;
-    if (all || tok == "stall") plan.armSite(fault::Site::WorkerStall, period), any = true;
+    bool known = all;
+    if (all || tok == "alloc") plan.armSite(fault::Site::Allocation, period), known = true;
+    if (all || tok == "stall") plan.armSite(fault::Site::WorkerStall, period), known = true;
     if (all || tok == "pivot" || tok == "simplex")
-      plan.armSite(fault::Site::SimplexPivot, period), any = true;
-    if (all || tok == "delta") plan.armSite(fault::Site::MalformedDelta, period), any = true;
-    if (all || tok == "cancel") plan.armSite(fault::Site::MidSolveCancel, period), any = true;
+      plan.armSite(fault::Site::SimplexPivot, period), known = true;
+    if (all || tok == "delta") plan.armSite(fault::Site::MalformedDelta, period), known = true;
+    if (all || tok == "cancel") plan.armSite(fault::Site::MidSolveCancel, period), known = true;
+    if (!known)
+      throw OptionError("option --faults=" + tokens + ": unknown fault site '" + tok +
+                        "' (valid: alloc, stall, pivot, simplex, delta, cancel, all)");
   }
-  if (!any) return std::nullopt;
   return plan;
 }
 
@@ -123,7 +127,7 @@ struct Stream {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   const int size = static_cast<int>(options.getIntOr("size", 2000));
   const int requests = static_cast<int>(options.getIntOr("requests", 200));
@@ -134,6 +138,11 @@ int main(int argc, char** argv) {
   const bool verify = options.hasFlag("verify");
   const OnlinePolicy policy = parsePolicy(options.getOr("policy", "multiple"));
   const auto seed = static_cast<std::uint64_t>(options.getIntOr("seed", 1));
+  // Parsed up front so a typo fails before any session opens; the plan is
+  // armed only once serving starts (see rearmFaults).
+  const std::optional<fault::Plan> faultPlan = parseFaultPlan(
+      options.getOr("faults", ""), seed,
+      static_cast<std::uint64_t>(options.getIntOr("fault-period", 64)));
 
   // Same feasible-under-all-policies profile as the bench's resilience
   // section: unit requests, edge-heavy clients, light load — so the serving
@@ -175,9 +184,6 @@ int main(int argc, char** argv) {
 
   // The service is the system under test; it boots before the harness arms,
   // the same way the CI fault job's env plan only bites once serving starts.
-  const std::optional<fault::Plan> faultPlan = parseFaultPlan(
-      options.getOr("faults", ""), seed,
-      static_cast<std::uint64_t>(options.getIntOr("fault-period", 64)));
   std::optional<fault::ScopedPlan> armed;
   long bankedFires = 0;
   std::uint64_t faultWindow = 0;
@@ -375,3 +381,5 @@ int main(int argc, char** argv) {
   std::cout << "\nall " << requests << " requests honored the resilience invariant\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -24,7 +24,7 @@ std::string count(const std::optional<Placement>& p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   const int n = static_cast<int>(options.getIntOr("n", 6));
   const int K = static_cast<int>(options.getIntOr("K", 8));
@@ -95,3 +95,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

@@ -75,7 +75,7 @@ void printPlacement(const ProblemInstance& inst, const Placement& p, Policy poli
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const Options options(argc, argv);
   try {
     ProblemInstance instance;
@@ -146,3 +146,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return treeplace::runCli(argc, argv, run); }

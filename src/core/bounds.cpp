@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/frontier_drivers.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -71,47 +72,45 @@ FrontierSubtreeRelaxation::FrontierSubtreeRelaxation(const ProblemInstance& inst
 
 void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
                                       FrontierArena& arena) {
+  const std::size_t n = instance.tree.vertexCount();
+  arena.reset(4 * n);
+  ArenaStore<FrontierEntry> store(arena);
+  std::vector<FrontierSpan> frontier(n);
+  const TreeDecomposition decomp(instance.tree);
+  for (const BagId b : decomp.schedule())
+    frontier[static_cast<std::size_t>(decomp.anchor(b))] =
+        detail::relaxationStep(instance, decomp, b, store, frontier);
+  stats_ = store.stats();
+  floors_ = detail::deriveRelaxationFloors(instance, arena, frontier);
+}
+
+namespace detail {
+
+// Place at a bag's anchor absorbs min(flow, W_v) — the heterogeneous
+// generalisation of the Multiple DP's place step, still a relaxation of every
+// real assignment. The fold runs over the *raw* child order: nothing is
+// reconstructed or replayed, so canonical merge order buys nothing here.
+FrontierSpan relaxationStep(const ProblemInstance& instance,
+                            const TreeDecomposition& decomp, BagId b,
+                            ArenaStore<FrontierEntry>& store,
+                            std::span<const FrontierSpan> frontier) {
+  const MultipleKernel kernel(instance);
+  if (decomp.anchorIsClient(b)) return store.seed(kernel.seed(decomp, b));
+  const std::int32_t cap = MultipleKernel::chainCap(decomp, b);
+  FrontierSpan acc = store.unit();
+  for (const BagId child : decomp.children(b))
+    acc = kernel.merge(store, acc, frontier[static_cast<std::size_t>(child)], decomp,
+                       child, cap);
+  return kernel.fold(store, acc, decomp, b, cap);
+}
+
+RelaxationFloors deriveRelaxationFloors(const ProblemInstance& instance,
+                                        const FrontierArena& arena,
+                                        std::span<const FrontierSpan> frontier) {
   const Tree& tree = instance.tree;
   const std::size_t n = tree.vertexCount();
-  minReplicas_.assign(n, 0);
-
-  arena.reset(4 * n);
-  FrontierConvolver conv(arena);
-  std::vector<FrontierSpan> frontier(n);
-
-  // Bottom-up frontier pass over the merge-bag schedule; place at a bag's
-  // anchor absorbs min(flow, W_v) — the heterogeneous generalisation of the
-  // Multiple DP's place step, still a relaxation of every real assignment.
-  // The fold runs over the *raw* child order (no reconstruction, no replay:
-  // canonical merge order buys nothing here and raw order is the historical
-  // layout the equivalence suites pin down).
-  const TreeDecomposition decomp(tree);
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push({0, instance.requests[vi], -1, -1});
-      frontier[vi] = arena.endSpan(begin);
-      continue;
-    }
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    FrontierSpan acc = conv.unit();
-    for (const BagId child : decomp.children(v))
-      acc = conv.convolve(acc, frontier[static_cast<std::size_t>(child)],
-                          internalsBelow);
-    options.clear();
-    const Requests cap = instance.capacity[vi];
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, -1, -1});
-      if (cap > 0 && e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - cap), -1, -1});
-    }
-    frontier[vi] = conv.pruneCandidates(options, internalsBelow);
-  }
-  conv.noteArenaUsage();
-  stats_ = conv.stats();
+  RelaxationFloors floors;
+  floors.minReplicas.assign(n, 0);
 
   // Strict-ancestor capacity (the outflow cap of each subtree), top-down.
   std::vector<Requests> ancestorCapacity(n, 0);
@@ -137,11 +136,11 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
     if (r < 0) {
       // Even every internal node of the subtree cannot push the outflow under
       // the ancestor capacity: no policy has a feasible placement.
-      feasible_ = false;
+      floors.feasible = false;
       r = static_cast<std::int32_t>(tree.subtreeSize(v) -
                                     tree.clientsInSubtree(v).size());
     }
-    minReplicas_[vi] = r;
+    floors.minReplicas[vi] = r;
   }
 
   // Additive decomposition: best(v) = max(own subtree floor, sum over
@@ -186,7 +185,7 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
       }
     }
     double own = 0.0;
-    if (minReplicas_[vi] > 0) {
+    if (floors.minReplicas[vi] > 0) {
       // Sum of the R_v cheapest internal storage costs inside subtree(v).
       const std::size_t k = intIndex[vi];
       const auto endPos =
@@ -196,7 +195,7 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
                            intPos.end(), endPos) -
           intPos.begin());
       const std::size_t r =
-          std::min(static_cast<std::size_t>(minReplicas_[vi]), endIdx - k);
+          std::min(static_cast<std::size_t>(floors.minReplicas[vi]), endIdx - k);
       if (minCostBelow[vi] == maxCostBelow[vi]) {
         own = static_cast<double>(r) * minCostBelow[vi];
       } else {
@@ -210,7 +209,10 @@ void FrontierSubtreeRelaxation::build(const ProblemInstance& instance,
     }
     best[vi] = std::max(own, childSum);
   }
-  decompositionBound_ = best[static_cast<std::size_t>(tree.root())];
+  floors.decompositionBound = best[static_cast<std::size_t>(tree.root())];
+  return floors;
 }
+
+}  // namespace detail
 
 }  // namespace treeplace

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -34,6 +35,36 @@ bool integralStorageCosts(const ProblemInstance& instance);
 /// floor on the replicas *inside* each subtree, information the structure-free
 /// cover bound cannot see (cf. the treewidth DP relaxations of
 /// arXiv:1705.00145).
+template <typename Entry>
+class ArenaStore;  // core/frontier_drivers
+
+namespace detail {
+
+/// What the subtree relaxation derives from its per-vertex frontiers.
+struct RelaxationFloors {
+  std::vector<std::int32_t> minReplicas;  ///< R_v per vertex (0 on clients)
+  double decompositionBound = 0.0;
+  bool feasible = true;
+};
+
+/// One bag of the relaxation pass, shared by FrontierSubtreeRelaxation and
+/// IncrementalBounds: the Multiple kernel under per-vertex capacities W_v,
+/// folding the bag's children (raw order) from `frontier`, a per-vertex
+/// table of spans in the store's arena.
+FrontierSpan relaxationStep(const ProblemInstance& instance,
+                            const TreeDecomposition& decomp, BagId b,
+                            ArenaStore<FrontierEntry>& store,
+                            std::span<const FrontierSpan> frontier);
+
+/// The derived passes over finished relaxation frontiers: strict-ancestor
+/// capacities, the per-subtree floors R_v and the additive decomposition
+/// bound.
+RelaxationFloors deriveRelaxationFloors(const ProblemInstance& instance,
+                                        const FrontierArena& arena,
+                                        std::span<const FrontierSpan> frontier);
+
+}  // namespace detail
+
 class FrontierSubtreeRelaxation {
  public:
   explicit FrontierSubtreeRelaxation(const ProblemInstance& instance);
@@ -47,7 +78,7 @@ class FrontierSubtreeRelaxation {
 
   /// False when even a replica on every internal node leaves requests
   /// unserved at the root — the instance is infeasible for every policy.
-  bool feasible() const { return feasible_; }
+  bool feasible() const { return floors_.feasible; }
 
   /// Minimum total replica count of any feasible solution (any policy).
   /// Meaningful only when feasible().
@@ -58,14 +89,14 @@ class FrontierSubtreeRelaxation {
   /// cannot meet that outflow at all, every internal node of the subtree is
   /// required (and the instance is infeasible).
   std::int32_t minReplicasIn(VertexId v) const {
-    return minReplicas_[static_cast<std::size_t>(v)];
+    return floors_.minReplicas[static_cast<std::size_t>(v)];
   }
 
   /// Additive Replica Cost floor: over the best decomposition into disjoint
   /// subtrees, each subtree v contributes the sum of its minReplicasIn(v)
   /// cheapest internal storage costs. Always a valid lower bound on the
   /// optimal cost of every policy; 0 when the relaxation has nothing to say.
-  double decompositionBound() const { return decompositionBound_; }
+  double decompositionBound() const { return floors_.decompositionBound; }
 
   const FrontierStats& stats() const { return stats_; }
 
@@ -73,9 +104,7 @@ class FrontierSubtreeRelaxation {
   void build(const ProblemInstance& instance, FrontierArena& arena);
 
   const Tree* tree_;
-  std::vector<std::int32_t> minReplicas_;
-  double decompositionBound_ = 0.0;
-  bool feasible_ = true;
+  detail::RelaxationFloors floors_;
   FrontierStats stats_;
 };
 

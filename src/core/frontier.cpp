@@ -110,60 +110,21 @@ void FrontierConvolver::noteArenaUsage() {
 // QosFrontierSweep
 // --------------------------------------------------------------------------
 
-void QosFrontierSweep::begin(std::int32_t maxCount) {
-  const auto needed = static_cast<std::size_t>(maxCount) + 1;
-  if (buckets_.size() < needed) buckets_.resize(needed);
-  for (std::int32_t c = 0; c < bucketsInUse_; ++c)
-    buckets_[static_cast<std::size_t>(c)].clear();
-  bucketsInUse_ = maxCount + 1;
-}
-
-bool QosFrontierSweep::staircaseInsert(std::vector<Step>& steps,
-                                       const Step& entry) {
-  // p = first step with flow >= entry.flow; everything before it has smaller
-  // flow, and the last of those carries their best slack (slack ascends).
-  std::size_t p = 0;
-  while (p < steps.size() && steps[p].flow < entry.flow) ++p;
-  if (p > 0 && steps[p - 1].slack >= entry.slack) return false;  // dominated
-  if (p < steps.size() && steps[p].flow == entry.flow &&
-      steps[p].slack >= entry.slack)
-    return false;  // dominated by the equal-flow step (incumbent wins ties)
-  // The entry survives: it dominates every step with flow >= its flow and
-  // slack <= its slack — a contiguous range starting at p.
-  std::size_t q = p;
-  while (q < steps.size() && steps[q].slack <= entry.slack) ++q;
-  if (q == p) {
-    steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(p), entry);
-  } else {
-    steps[p] = entry;
-    steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(p) + 1,
-                steps.begin() + static_cast<std::ptrdiff_t>(q));
-  }
-  return true;
-}
+void QosFrontierSweep::begin(std::int32_t maxCount) { buckets_.begin(maxCount); }
 
 void QosFrontierSweep::add(const QosFrontierEntry& entry) {
-  TREEPLACE_REQUIRE(entry.count >= 0 && entry.count < bucketsInUse_,
+  TREEPLACE_REQUIRE(entry.count >= 0 && entry.count < buckets_.bound(),
                     "sweep candidate count outside the begin() bound");
   ++stats_.entriesMerged;
-  staircaseInsert(buckets_[static_cast<std::size_t>(entry.count)],
-                  {entry.flow, entry.slack, entry.prev, entry.child});
+  buckets_.add(entry.count, {entry.flow, entry.slack, entry.prev, entry.child});
 }
 
 FrontierSpan QosFrontierSweep::emit() {
   ++stats_.convolutions;
-  skyline_.clear();
   const std::uint32_t begin = arena_->beginSpan();
-  for (std::int32_t c = 0; c < bucketsInUse_; ++c) {
-    // A bucket's steps are mutually non-dominated and flow-ascending, so
-    // folding each survivor into the skyline as it is emitted cannot shadow
-    // a same-count sibling; the skyline check doubles as the cross-bucket
-    // dominance test (lower counts entered first and win non-strict ties).
-    for (const Step& step : buckets_[static_cast<std::size_t>(c)]) {
-      if (staircaseInsert(skyline_, step))
-        arena_->push({c, step.flow, step.slack, step.prev, step.child});
-    }
-  }
+  buckets_.sweep([this](std::int32_t c, const Step& step) {
+    arena_->push({c, step.flow, step.slack, step.prev, step.child});
+  });
   const FrontierSpan out = arena_->endSpan(begin);
   stats_.peakWidth = std::max(stats_.peakWidth, static_cast<std::size_t>(out.size));
   return out;

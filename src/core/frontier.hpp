@@ -8,6 +8,7 @@
 
 #include "core/decomposition.hpp"
 #include "core/frontier_fwd.hpp"
+#include "core/qos_dominance.hpp"
 #include "support/fault_injection.hpp"
 #include "tree/problem.hpp"
 
@@ -142,7 +143,6 @@ class FrontierConvolver {
                                std::int32_t maxCount);
 
   const FrontierStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
 
   /// Record the width of a frontier the caller assembled by hand (e.g. the
   /// place/skip options of a DP node, which bypass the bucket sweep).
@@ -165,19 +165,11 @@ class FrontierConvolver {
   std::vector<std::int32_t> bucketChild_;
 };
 
-/// 3-D dominance filter for (count, flow, slack) frontiers: an entry is
-/// dominated when another has count <=, flow <= and slack >= it. Replaces the
-/// retired sort + O(k^2) pairwise prune of the QoS solver.
-///
-/// Candidates are scattered into count-indexed buckets; each bucket keeps a
-/// 2-D (flow, slack) staircase — flow ascending, slack strictly ascending —
-/// under insertion, so within-bucket dominance is resolved on the fly.
-/// emit() then sweeps buckets by ascending count, testing each survivor
-/// against the running staircase of all lower counts and streaming the
-/// non-dominated points into the arena in (count, flow) order — exactly the
-/// order the old sort produced, so downstream consumers see identical
-/// frontiers. Bucket vectors are recycled across batches: steady-state
-/// filtering performs no heap allocations.
+/// 3-D dominance filter for (count, flow, slack) frontiers in the arena: the
+/// StaircaseBuckets filter (core/qos_dominance) with backpointers, emitting
+/// the non-dominated points into the arena in (count, flow) order — exactly
+/// the order the retired sort + O(k^2) pairwise prune produced, so
+/// downstream consumers see identical frontiers.
 class QosFrontierSweep {
  public:
   explicit QosFrontierSweep(QosFrontierArena& arena) : arena_(&arena) {}
@@ -192,7 +184,6 @@ class QosFrontierSweep {
   FrontierSpan emit();
 
   const FrontierStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
   void noteArenaUsage();
 
  private:
@@ -203,29 +194,20 @@ class QosFrontierSweep {
     std::int32_t child;
   };
 
-  /// Insert into a staircase (flow strictly ascending, slack strictly
-  /// ascending) unless a step dominates the entry (flow <=, slack >=,
-  /// non-strict — the incumbent wins exact ties); steps the entry dominates
-  /// are removed. Returns false when the entry was dominated. Shared by the
-  /// per-count buckets (add) and the cross-bucket skyline (emit).
-  static bool staircaseInsert(std::vector<Step>& steps, const Step& entry);
-
   QosFrontierArena* arena_;
   FrontierStats stats_;
-  std::vector<std::vector<Step>> buckets_;  ///< capacity recycled across batches
-  std::int32_t bucketsInUse_ = 0;
-  std::vector<Step> skyline_;  ///< emit()'s running lower-count staircase
+  StaircaseBuckets<Step> buckets_;
 };
 
 /// Shared scaffolding of the merge-bag DPs: one frontier span per bag, one
 /// span per (bag, child-prefix) convolution for the backpointer walk, and
-/// the top-down reconstruction itself. Solvers only differ in how they build
-/// a bag's frontier from the final prefix (`place/skip` step), so that part
-/// stays with them; the bookkeeping and the walk live here once. Templated on
-/// the entry type (FrontierEntry / QosFrontierEntry): reconstruction only
-/// needs the two backpointer fields both provide. Runs over any
-/// TreeDecomposition-shaped schedule; the rooted-tree case is the width-1
-/// adapter, where bags coincide with vertices.
+/// the top-down reconstruction itself. The recurrences live in the kernels
+/// (core/frontier_kernels), the pass that fills these tables in the batch
+/// driver (core/frontier_drivers); the bookkeeping and the walk live here
+/// once. Templated on the entry type (FrontierEntry / QosFrontierEntry):
+/// reconstruction only needs the two backpointer fields both provide. Runs
+/// over any TreeDecomposition-shaped schedule; the rooted-tree case is the
+/// width-1 adapter, where bags coincide with vertices.
 template <typename Entry>
 class BasicFrontierDp {
  public:

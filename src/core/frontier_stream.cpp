@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/qos_dominance.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -10,6 +11,45 @@ namespace {
 
 constexpr Requests kNoFlow = std::numeric_limits<Requests>::max();
 constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
+
+/// The width cap of both streamers over one swept frontier (its counts in
+/// `counts`): calls keep(k) for every surviving index, in order. A frontier
+/// wider than widthCap is downsampled by a stride that always keeps the
+/// first (min count) and last (min flow) points. Survivors are real
+/// reachable states, so capped frontiers stay achievable — answers become
+/// upper bounds, not guesses.
+template <typename Keep>
+void capWidth(const std::vector<std::int32_t>& counts, std::int32_t widthCap,
+              FrontierStreamStats& stats, Keep keep) {
+  const std::size_t width = counts.size();
+  const auto cap = static_cast<std::size_t>(widthCap);
+  if (width <= cap || cap < 2) {
+    for (std::size_t k = 0; k < width; ++k) keep(k);
+    return;
+  }
+  ++stats.cappedMerges;
+  stats.exact = false;
+  // Dropping an interior point can cost later steps at most the count gap to
+  // the next kept point (whose flow is no worse, flows being strictly
+  // decreasing); the merge's worst case is the max such gap, and the gaps of
+  // successive capped merges add. See FrontierStreamStats::capGapBound: with
+  // the QoS slack lane the next kept point may carry worse slack than a
+  // dropped one, so there the accumulated gap is diagnostic only.
+  std::size_t kept = 0;
+  std::int32_t maxGap = 0;
+  std::size_t last = width;  // sentinel: nothing kept yet
+  for (std::size_t k = 0; k < cap; ++k) {
+    const std::size_t idx = k * (width - 1) / (cap - 1);
+    if (idx == last) continue;
+    if (last != width && idx > last + 1)
+      maxGap = std::max(maxGap, counts[idx] - counts[last] - 1);
+    last = idx;
+    ++kept;
+    keep(idx);
+  }
+  stats.droppedPoints += width - kept;
+  stats.capGapBound += maxGap;
+}
 
 }  // namespace
 
@@ -120,49 +160,14 @@ void FrontierStreamer::sweepAndCommit(std::size_t accBegin, std::int32_t minSum,
     outFlows_.push_back(f);
   }
   stats_.peakWidth = std::max(stats_.peakWidth, outCounts_.size());
-
-  // Width cap: strided downsample that always keeps the first (min count) and
-  // last (min flow) points. Survivors are real reachable states, so capped
-  // frontiers stay achievable — answers become upper bounds, not guesses.
   resize(accBegin);
-  const std::size_t width = outCounts_.size();
-  const std::size_t cap = static_cast<std::size_t>(options_.widthCap);
-  if (width <= cap || cap < 2) {
-    for (std::size_t k = 0; k < width; ++k) pushEntry(outCounts_[k], outFlows_[k]);
-    return;
-  }
-  ++stats_.cappedMerges;
-  stats_.exact = false;
-  // Dropping an interior point can cost later steps at most the count gap to
-  // the next kept point (whose flow is no worse, flows being strictly
-  // decreasing); the merge's worst case is the max such gap, and the gaps of
-  // successive capped merges add. See FrontierStreamStats::capGapBound.
-  std::size_t kept = 0;
-  std::int32_t maxGap = 0;
-  std::size_t last = width;  // sentinel: nothing pushed yet
-  for (std::size_t k = 0; k < cap; ++k) {
-    const std::size_t idx = k * (width - 1) / (cap - 1);
-    if (idx == last) continue;
-    if (last != width && idx > last + 1)
-      maxGap = std::max(maxGap, outCounts_[idx] - outCounts_[last] - 1);
-    last = idx;
-    ++kept;
-    pushEntry(outCounts_[idx], outFlows_[idx]);
-  }
-  stats_.droppedPoints += width - kept;
-  stats_.capGapBound += maxGap;
+  capWidth(outCounts_, options_.widthCap, stats_,
+           [this](std::size_t k) { pushEntry(outCounts_[k], outFlows_[k]); });
 }
 
 // --------------------------------------------------------------------------
 // QosFrontierStreamer
 // --------------------------------------------------------------------------
-
-void QosFrontierStreamer::reset() {
-  counts_.clear();
-  flows_.clear();
-  slacks_.clear();
-  stats_ = {};
-}
 
 void QosFrontierStreamer::noteStack() {
   // O(1) per push: bucket headers are counted, their per-bucket heap capacity
@@ -171,7 +176,7 @@ void QosFrontierStreamer::noteStack() {
   const std::size_t bytes = counts_.capacity() * sizeof(std::int32_t) +
                             flows_.capacity() * sizeof(Requests) +
                             slacks_.capacity() * sizeof(double) +
-                            buckets_.capacity() * sizeof(std::vector<Step>);
+                            buckets_.headerBytes();
   stats_.peakBytes = std::max(stats_.peakBytes, bytes);
   if (options_.guard != nullptr) options_.guard->noteMemory(bytes);
 }
@@ -182,40 +187,10 @@ std::size_t QosFrontierStreamer::pushUnit() {
   return begin;
 }
 
-void QosFrontierStreamer::beginBuckets(std::int32_t maxCount) {
-  const auto needed = static_cast<std::size_t>(maxCount) + 1;
-  if (buckets_.size() < needed) buckets_.resize(needed);
-  for (std::int32_t c = 0; c < bucketsInUse_; ++c)
-    buckets_[static_cast<std::size_t>(c)].clear();
-  bucketsInUse_ = maxCount + 1;
-}
-
-bool QosFrontierStreamer::staircaseInsert(std::vector<Step>& steps,
-                                          const Step& entry) {
-  // Mirrors QosFrontierSweep::staircaseInsert: steps keep flow strictly
-  // ascending AND slack strictly ascending; incumbents win exact ties.
-  std::size_t p = 0;
-  while (p < steps.size() && steps[p].flow < entry.flow) ++p;
-  if (p > 0 && steps[p - 1].slack >= entry.slack) return false;
-  if (p < steps.size() && steps[p].flow == entry.flow &&
-      steps[p].slack >= entry.slack)
-    return false;
-  std::size_t q = p;
-  while (q < steps.size() && steps[q].slack <= entry.slack) ++q;
-  if (q == p) {
-    steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(p), entry);
-  } else {
-    steps[p] = entry;
-    steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(p) + 1,
-                steps.begin() + static_cast<std::ptrdiff_t>(q));
-  }
-  return true;
-}
-
 void QosFrontierStreamer::bucketAdd(std::int32_t count, Requests flow,
                                     double slack) {
   ++stats_.pairsMerged;
-  staircaseInsert(buckets_[static_cast<std::size_t>(count)], {flow, slack});
+  buckets_.add(count, {flow, slack});
 }
 
 void QosFrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin,
@@ -223,7 +198,7 @@ void QosFrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin
   TREEPLACE_REQUIRE(accBegin < childBegin && childBegin < top(),
                     "foldChild needs two non-empty frontiers on top of the slab");
   ++stats_.convolutions;
-  beginBuckets(maxCount);
+  buckets_.begin(maxCount);
 
   const std::size_t aSize = childBegin - accBegin;
   const std::size_t bSize = top() - childBegin;
@@ -233,7 +208,7 @@ void QosFrontierStreamer::foldChild(std::size_t accBegin, std::size_t childBegin
     // The child pays its uplink before joining the parent; zero-flow states
     // carry no deadline at all.
     const double sb = fb > 0 ? slacks_[bj] - uplink : kInfiniteSlack;
-    if (sb < -1e-9) continue;  // dead: some client unreachable in time
+    if (sb < -kSlackTolerance) continue;  // dead: some client unreachable in time
     const std::int32_t cb = counts_[bj];
     for (std::size_t i = 0; i < aSize; ++i) {
       const std::size_t ai = accBegin + i;
@@ -260,7 +235,7 @@ void QosFrontierStreamer::addCandidate(std::int32_t count, Requests flow,
 
 void QosFrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount) {
   ++stats_.convolutions;
-  beginBuckets(maxCount);
+  buckets_.begin(maxCount);
   for (std::size_t k = 0; k < candCounts_.size(); ++k) {
     if (candCounts_[k] > maxCount) continue;
     bucketAdd(candCounts_[k], candFlows_[k], candSlacks_[k]);
@@ -269,53 +244,19 @@ void QosFrontierStreamer::commitPruned(std::size_t begin, std::int32_t maxCount)
 }
 
 void QosFrontierStreamer::sweepAndCommit(std::size_t accBegin) {
-  skyline_.clear();
   outCounts_.clear();
   outFlows_.clear();
   outSlacks_.clear();
-  for (std::int32_t c = 0; c < bucketsInUse_; ++c) {
-    // Bucket steps are mutually non-dominated and flow-ascending; the running
-    // skyline of lower counts doubles as the cross-bucket dominance test
-    // (lower counts entered first and win non-strict ties), exactly like
-    // QosFrontierSweep::emit.
-    for (const Step& step : buckets_[static_cast<std::size_t>(c)]) {
-      if (staircaseInsert(skyline_, step)) {
-        outCounts_.push_back(c);
-        outFlows_.push_back(step.flow);
-        outSlacks_.push_back(step.slack);
-      }
-    }
-  }
+  buckets_.sweep([this](std::int32_t c, const Step& step) {
+    outCounts_.push_back(c);
+    outFlows_.push_back(step.flow);
+    outSlacks_.push_back(step.slack);
+  });
   stats_.peakWidth = std::max(stats_.peakWidth, outCounts_.size());
-
   resize(accBegin);
-  const std::size_t width = outCounts_.size();
-  const std::size_t cap = static_cast<std::size_t>(options_.widthCap);
-  if (width <= cap || cap < 2) {
-    for (std::size_t k = 0; k < width; ++k)
-      pushEntry(outCounts_[k], outFlows_[k], outSlacks_[k]);
-    noteStack();
-    return;
-  }
-  ++stats_.cappedMerges;
-  stats_.exact = false;
-  // Same count-gap telemetry as the 2-D streamer; with the slack dimension
-  // the next kept point may carry worse slack than a dropped one, so here the
-  // accumulated gap is diagnostic only, not a certified bracket.
-  std::size_t kept = 0;
-  std::int32_t maxGap = 0;
-  std::size_t last = width;  // sentinel: nothing pushed yet
-  for (std::size_t k = 0; k < cap; ++k) {
-    const std::size_t idx = k * (width - 1) / (cap - 1);
-    if (idx == last) continue;
-    if (last != width && idx > last + 1)
-      maxGap = std::max(maxGap, outCounts_[idx] - outCounts_[last] - 1);
-    last = idx;
-    ++kept;
-    pushEntry(outCounts_[idx], outFlows_[idx], outSlacks_[idx]);
-  }
-  stats_.droppedPoints += width - kept;
-  stats_.capGapBound += maxGap;
+  capWidth(outCounts_, options_.widthCap, stats_, [this](std::size_t k) {
+    pushEntry(outCounts_[k], outFlows_[k], outSlacks_[k]);
+  });
   noteStack();
 }
 

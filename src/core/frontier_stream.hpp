@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/qos_dominance.hpp"
 #include "support/budget.hpp"
 #include "tree/problem.hpp"
 
@@ -75,17 +76,20 @@ struct StreamCountResult {
 /// O(total entries), at the price of dropping reconstruction backpointers
 /// (the streaming DPs return counts, not placements).
 ///
-/// Protocol, driven by the solver's postorder walk:
+/// Protocol, driven by the streaming driver's postorder walk
+/// (countFrontierStreaming in core/frontier_drivers, which adapts the slab to
+/// the kernels' store interface as StreamStore):
 ///  - pushUnit() opens an internal node's accumulator {(0, 0)};
 ///  - a child frontier is then built on top of the slab (pushEntry for a
 ///    leaf, recursively for a subtree) and folded into the accumulator with
 ///    foldChild(), which convolves the two top frontiers (counts add, flows
 ///    add, bucket scatter + monotone sweep — no sort) and replaces them by
 ///    the capped result;
-///  - the place/skip step either edits the finished accumulator in place
-///    through countAt/flowAt/resize/pushEntry (Closest's suffix trick) or
-///    rebuilds it through the candidate batch API (clearCandidates /
-///    addCandidate / commitPruned — Multiple's general prune).
+///  - the kernel's place/skip step then either truncates the finished
+///    accumulator and pushes one point (resize/pushEntry — the Closest
+///    kernel's keepPrefix) or rebuilds it through the candidate batch API
+///    (clearCandidates / addCandidate / commitPruned — the general prune of
+///    the Multiple kernel).
 ///
 /// The inner merge loop runs over the flow array of the denser input; when
 /// the child's counts are contiguous the bucket indices are too, and the
@@ -93,12 +97,6 @@ struct StreamCountResult {
 class FrontierStreamer {
  public:
   explicit FrontierStreamer(FrontierStreamOptions options) : options_(options) {}
-
-  void reset() {
-    counts_.clear();
-    flows_.clear();
-    stats_ = {};
-  }
 
   std::size_t top() const { return counts_.size(); }
   std::int32_t countAt(std::size_t i) const { return counts_[i]; }
@@ -173,9 +171,8 @@ class FrontierStreamer {
 };
 
 /// Streaming counterpart of QosFrontierSweep: the same slab/stack protocol as
-/// FrontierStreamer with a slack lane added, pruned by per-count (flow,
-/// slack) staircases instead of single min-flow buckets (see
-/// QosFrontierSweep for the dominance rules mirrored here). foldChild charges
+/// FrontierStreamer with a slack lane added, pruned by the StaircaseBuckets
+/// filter (core/qos_dominance) instead of single min-flow buckets. foldChild charges
 /// the child's uplink latency and drops dead states, exactly like the exact
 /// QoS convolution; the width cap strides over the emitted (count, flow)
 /// order. A fold may legitimately produce an empty frontier (every pair
@@ -183,8 +180,6 @@ class FrontierStreamer {
 class QosFrontierStreamer {
  public:
   explicit QosFrontierStreamer(FrontierStreamOptions options) : options_(options) {}
-
-  void reset();
 
   std::size_t top() const { return counts_.size(); }
   std::int32_t countAt(std::size_t i) const { return counts_[i]; }
@@ -226,21 +221,16 @@ class QosFrontierStreamer {
   };
 
   void noteStack();
-  void beginBuckets(std::int32_t maxCount);
   void bucketAdd(std::int32_t count, Requests flow, double slack);
-  /// Cross-bucket dominance sweep (mirrors QosFrontierSweep::emit), cap,
-  /// write at accBegin.
+  /// Cross-bucket dominance sweep, cap, write at accBegin.
   void sweepAndCommit(std::size_t accBegin);
-  static bool staircaseInsert(std::vector<Step>& steps, const Step& entry);
 
   FrontierStreamOptions options_;
   FrontierStreamStats stats_;
   std::vector<std::int32_t> counts_;
   std::vector<Requests> flows_;
   std::vector<double> slacks_;
-  std::vector<std::vector<Step>> buckets_;  ///< capacity recycled across folds
-  std::int32_t bucketsInUse_ = 0;
-  std::vector<Step> skyline_;
+  StaircaseBuckets<Step> buckets_;
   std::vector<std::int32_t> outCounts_;
   std::vector<Requests> outFlows_;
   std::vector<double> outSlacks_;

@@ -1,120 +1,18 @@
 #include "exact/closest_qos.hpp"
 
-#include <limits>
-
-#include "core/frontier.hpp"
-#include "support/require.hpp"
+#include "core/frontier_drivers.hpp"
 
 namespace treeplace {
-namespace {
-
-constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& instance,
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
   instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-
-  QosFrontierArena arena;
-  arena.reset(4 * n);
-  QosFrontierSweep sweep(arena);
-  const TreeDecomposition decomp(tree);
-  BasicFrontierDp<QosFrontierEntry> dp(decomp, arena);
-
-  const auto publishStats = [&] {
-    if (stats != nullptr) {
-      sweep.noteArenaUsage();
-      *stats = sweep.stats();
-    }
-  };
-
-  for (const BagId v : decomp.schedule()) {
-    if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      // Slack measured at the client itself; its uplink comm is charged when
-      // the entry moves into the parent below.
-      const Requests r = instance.requests[vi];
-      dp.seedClient(v, {0, r, r > 0 ? instance.qos[vi] : kInfiniteSlack, -1, -1});
-      continue;
-    }
-
-    // Replica counts in the bag's cone never exceed its internal-node count,
-    // so that bounds every bucket batch at this node.
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-
-    // Convolve child bags: each child's frontier first pays its uplink comm.
-    // Candidates go straight into the count-bucketed sweep — no temporary
-    // cross-product vector, no sort.
-    std::uint32_t accBegin = arena.beginSpan();
-    arena.push({0, 0, kInfiniteSlack, -1, -1});
-    FrontierSpan acc = arena.endSpan(accBegin);
-    const auto children = decomp.mergeChildren(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      const FrontierSpan childFrontier = dp.frontier(child);
-      sweep.begin(countCap);
-      for (std::size_t p = 0; p < acc.size; ++p) {
-        const QosFrontierEntry accEntry = arena.at(acc, p);
-        for (std::size_t c = 0; c < childFrontier.size; ++c) {
-          const QosFrontierEntry& childEntry = arena.at(childFrontier, c);
-          const double childSlack = childEntry.flow > 0
-                                        ? childEntry.slack - uplink
-                                        : kInfiniteSlack;
-          if (childSlack < -1e-9) continue;  // dead: client unreachable in time
-          sweep.add({accEntry.count + childEntry.count,
-                     accEntry.flow + childEntry.flow,
-                     std::min(accEntry.slack, childSlack),
-                     static_cast<std::int32_t>(p), static_cast<std::int32_t>(c)});
-        }
-      }
-      acc = sweep.emit();
-      if (acc.empty()) {
-        publishStats();
-        return std::nullopt;  // some child has no live state
-      }
-      dp.setCombo(v, ci, acc);
-    }
-
-    // Place/skip: a replica at v needs the incoming flow to fit in W and the
-    // minimum slack to cover v's computation time.
-    const double comp = instance.compTime[vi];
-    sweep.begin(countCap);
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const QosFrontierEntry e = arena.at(acc, k);
-      sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
-      if (e.flow <= W && e.slack >= comp - 1e-9)
-        sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
-    }
-    dp.setFrontier(v, sweep.emit());
-  }
-
-  publishStats();
-
-  // The pruned frontier holds at most one zero-flow entry (two would dominate
-  // one another through their infinite slack), and it is the cheapest one.
-  const FrontierSpan rootSpan = dp.frontier(decomp.rootBag());
-  std::int32_t bestIdx = -1;
-  for (std::size_t k = 0; k < rootSpan.size; ++k) {
-    if (arena.at(rootSpan, k).flow == 0) {
-      bestIdx = static_cast<std::int32_t>(k);
-      break;
-    }
-  }
-  if (bestIdx < 0) return std::nullopt;
-
-  Placement placement(n);
-  dp.reconstruct(bestIdx,
-                 [&placement](VertexId node) { placement.addReplica(node); });
-
+  const ClosestQosKernel kernel(instance);
+  Placement placement(instance.tree.vertexCount());
+  if (!solveFrontierBatch(kernel, instance.tree, stats, guard,
+                          [&placement](VertexId node) { placement.addReplica(node); }))
+    return std::nullopt;
   assignClientsToClosest(instance, placement);
   return placement;
 }
@@ -122,98 +20,7 @@ std::optional<Placement> solveClosestHomogeneousQos(const ProblemInstance& insta
 StreamCountResult countClosestQosStreaming(const ProblemInstance& instance,
                                            const FrontierStreamOptions& options) {
   instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-
-  StreamCountResult result;
-  const TreeDecomposition decomp(tree);
-  const BagId root = decomp.rootBag();
-  if (decomp.anchorIsClient(root)) {
-    result.feasible = instance.requests[static_cast<std::size_t>(root)] == 0;
-    return result;
-  }
-
-  QosFrontierStreamer streamer(options);
-  struct Frame {
-    BagId v;
-    std::uint32_t nextChild;
-    std::size_t accBegin;
-    std::int32_t countCap;  ///< internal-node count of the bag's cone
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-
-  const auto open = [&](BagId v) {
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    stack.push_back({v, 0, streamer.pushUnit(), countCap});
-  };
-
-  const auto placeSkip = [&](std::size_t begin, BagId v, std::int32_t countCap) {
-    const double comp =
-        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))];
-    streamer.clearCandidates();
-    const std::size_t size = streamer.top() - begin;
-    for (std::size_t k = 0; k < size; ++k) {
-      const std::int32_t c = streamer.countAt(begin + k);
-      const Requests f = streamer.flowAt(begin + k);
-      const double s = streamer.slackAt(begin + k);
-      streamer.addCandidate(c, f, s);
-      if (f <= W && s >= comp - 1e-9)
-        streamer.addCandidate(c + 1, 0,
-                              std::numeric_limits<double>::infinity());
-    }
-    streamer.commitPruned(begin, countCap);
-  };
-
-  // A fold can kill every state (some client unreachable in time): the
-  // accumulator vanishes and the instance is infeasible.
-  bool dead = false;
-  open(root);
-  while (!stack.empty() && !dead) {
-    if (options.guard != nullptr) options.guard->checkpoint();
-    Frame& f = stack.back();  // open() reallocates: never touch f after it
-    const auto kids = decomp.children(f.v);
-    if (f.nextChild < kids.size()) {
-      const BagId c = kids[f.nextChild++];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(c))];
-      if (decomp.anchorIsClient(c)) {
-        const auto ci = static_cast<std::size_t>(decomp.anchor(c));
-        const Requests r = instance.requests[ci];
-        const std::size_t childBegin = streamer.top();
-        streamer.pushEntry(
-            0, r,
-            r > 0 ? instance.qos[ci] : std::numeric_limits<double>::infinity());
-        streamer.foldChild(f.accBegin, childBegin, f.countCap, uplink);
-        dead = streamer.top() == f.accBegin;
-      } else {
-        open(c);
-      }
-      continue;
-    }
-    placeSkip(f.accBegin, f.v, f.countCap);
-    const std::size_t childBegin = f.accBegin;
-    stack.pop_back();
-    if (!stack.empty()) {
-      Frame& parent = stack.back();
-      const double uplink = instance.commTime[static_cast<std::size_t>(
-          decomp.anchor(decomp.children(parent.v)[parent.nextChild - 1]))];
-      streamer.foldChild(parent.accBegin, childBegin, parent.countCap, uplink);
-      dead = streamer.top() == parent.accBegin;
-    }
-  }
-
-  result.stats = streamer.stats();
-  if (dead) return result;
-  // A zero-flow entry carries infinite slack, dominates everything after it,
-  // and is therefore last when present.
-  const std::size_t width = streamer.top();
-  if (width > 0 && streamer.flowAt(width - 1) == 0) {
-    result.feasible = true;
-    result.replicas = streamer.countAt(width - 1);
-  }
-  return result;
+  return countFrontierStreaming(ClosestQosKernel(instance), instance.tree, options);
 }
 
 }  // namespace treeplace

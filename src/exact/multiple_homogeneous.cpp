@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/frontier_drivers.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -191,68 +192,13 @@ std::optional<Placement> solveMultipleHomogeneousDP(const ProblemInstance& insta
                                                     FrontierStats* stats,
                                                     BudgetGuard* guard) {
   instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-
-  FrontierArena arena;
-  arena.reset(4 * n);
-  FrontierConvolver conv(arena);
-  const TreeDecomposition decomp(tree);
-  FrontierDp dp(decomp, arena);
-
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(decomp.anchor(v));
-    if (decomp.anchorIsClient(v)) {
-      dp.seedClient(v, instance.requests[vi]);
-      continue;
-    }
-
-    // Replicas sit on distinct internal nodes and a replica absorbing
-    // nothing is dominated, so Pareto counts never exceed the internal-node
-    // count of the covered forest.
-    const std::size_t internalsBelow = decomp.internalsInCone(v);
-    const auto forestCap = static_cast<std::int32_t>(internalsBelow - 1);
-
-    FrontierSpan acc = conv.unit();
-    const auto children = decomp.mergeChildren(v);
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      acc = conv.convolve(acc, dp.frontier(children[ci]), forestCap);
-      dp.setCombo(v, ci, acc);
-    }
-
-    // Place/skip: under Multiple a replica at v absorbs min(flow, W), so the
-    // place option is (count+1, max(0, flow-W)) — only useful when flow > 0.
-    options.clear();
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-      if (e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
-                           static_cast<std::int32_t>(k), 1});
-    }
-    dp.setFrontier(
-        v, conv.pruneCandidates(options, static_cast<std::int32_t>(internalsBelow)));
-  }
-
-  if (stats != nullptr) {
-    conv.noteArenaUsage();
-    *stats = conv.stats();
-  }
-
-  const FrontierSpan rootSpan = dp.frontier(decomp.rootBag());
-  if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
+  const MultipleKernel kernel = MultipleKernel::homogeneous(instance);
+  std::vector<char> isReplica(instance.tree.vertexCount(), 0);
+  if (!solveFrontierBatch(kernel, instance.tree, stats, guard,
+                          [&isReplica](VertexId node) {
+                            isReplica[static_cast<std::size_t>(node)] = 1;
+                          }))
     return std::nullopt;
-
-  std::vector<char> isReplica(n, 0);
-  dp.reconstruct(static_cast<std::int32_t>(rootSpan.size - 1),
-                 [&isReplica](VertexId node) {
-                   isReplica[static_cast<std::size_t>(node)] = 1;
-                 });
-
   return assignMultipleRequests(instance, isReplica);
 }
 
@@ -265,82 +211,8 @@ std::optional<std::size_t> optimalMultipleReplicaCount(const ProblemInstance& in
 StreamCountResult countMultipleHomogeneousStreaming(
     const ProblemInstance& instance, const FrontierStreamOptions& options) {
   instance.validate();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-  const Tree& tree = instance.tree;
-
-  StreamCountResult result;
-  const TreeDecomposition decomp(tree);
-  const BagId root = decomp.rootBag();
-  if (decomp.anchorIsClient(root)) {
-    result.feasible = instance.requests[static_cast<std::size_t>(root)] == 0;
-    return result;
-  }
-
-  FrontierStreamer streamer(options);
-  struct Frame {
-    BagId v;
-    std::uint32_t nextChild;
-    std::size_t accBegin;
-    std::int32_t forestCap;  ///< children-forest count bound (excludes v)
-    std::int32_t nodeCap;    ///< subtree count bound (includes v)
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-
-  const auto open = [&](BagId v) {
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    stack.push_back({v, 0, streamer.pushUnit(), internalsBelow - 1, internalsBelow});
-  };
-
-  // Place/skip: under Multiple a replica at v absorbs min(flow, W), so the
-  // place option is (count + 1, max(0, flow - W)) — not a suffix of the kept
-  // entries, hence the general candidate prune instead of Closest's trick.
-  const auto placeSkip = [&](std::size_t begin, std::int32_t nodeCap) {
-    streamer.clearCandidates();
-    const std::size_t size = streamer.top() - begin;
-    for (std::size_t k = 0; k < size; ++k) {
-      const std::int32_t c = streamer.countAt(begin + k);
-      const Requests f = streamer.flowAt(begin + k);
-      streamer.addCandidate(c, f);
-      if (f > 0) streamer.addCandidate(c + 1, std::max<Requests>(0, f - W));
-    }
-    streamer.commitPruned(begin, nodeCap);
-  };
-
-  open(root);
-  while (!stack.empty()) {
-    if (options.guard != nullptr) options.guard->checkpoint();
-    Frame& f = stack.back();  // open() reallocates: never touch f after it
-    const auto kids = decomp.children(f.v);
-    if (f.nextChild < kids.size()) {
-      const BagId c = kids[f.nextChild++];
-      if (decomp.anchorIsClient(c)) {
-        const std::size_t childBegin = streamer.top();
-        streamer.pushEntry(
-            0, instance.requests[static_cast<std::size_t>(decomp.anchor(c))]);
-        streamer.foldChild(f.accBegin, childBegin, f.forestCap);
-      } else {
-        open(c);
-      }
-      continue;
-    }
-    placeSkip(f.accBegin, f.nodeCap);
-    const std::size_t childBegin = f.accBegin;
-    stack.pop_back();
-    if (!stack.empty()) {
-      Frame& parent = stack.back();
-      streamer.foldChild(parent.accBegin, childBegin, parent.forestCap);
-    }
-  }
-
-  const std::size_t width = streamer.top();
-  result.stats = streamer.stats();
-  if (width > 0 && streamer.flowAt(width - 1) == 0) {
-    result.feasible = true;
-    result.replicas = streamer.countAt(width - 1);
-  }
-  return result;
+  return countFrontierStreaming(MultipleKernel::homogeneous(instance), instance.tree,
+                                options);
 }
 
 }  // namespace treeplace

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "core/frontier.hpp"
+#include "core/frontier_kernels.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -138,13 +139,8 @@ class ConstrainedTreeDp {
     scratch_.assign(accView.begin(), accView.end());
     // First fold entry whose residual a replica at v may absorb (Closest:
     // a replica takes *all* subtree flow, so it needs flow <= W).
-    std::size_t k0 = scratch_.size();
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      if (scratch_[i].flow <= capacity_) {
-        k0 = i;
-        break;
-      }
-    }
+    const std::size_t k0 = ClosestKernel::placePoint(
+        scratch_.size(), capacity_, [this](std::size_t i) { return scratch_[i].flow; });
     const std::uint32_t begin = arena_.beginSpan();
     switch (state_[vi]) {
       case NodeState::Free:

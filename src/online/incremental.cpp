@@ -1,9 +1,9 @@
 #include "online/incremental.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
+#include "core/frontier_drivers.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "support/require.hpp"
 
@@ -13,37 +13,14 @@ namespace detail {
 template <typename Entry>
 void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
                                      bool withCombos) {
-  const std::size_t n = decomp.bagCount();
+  *this = FrontierCacheState{};
   // Reserve past the 16n compaction gate (compactIfBloated): the slab then
   // reaches the compaction decision before its first doubling reallocation,
   // so steady-state pushes never pay a multi-MiB slab copy inside a timed
   // re-solve. The combo-less bounds cache sees no latency bar and keeps the
   // modest reserve instead.
-  arena.reset((withCombos ? 17 : 4) * n);
-  frontier.assign(n, FrontierSpan{});
-  computedEpoch.assign(n, 0);
-  comboCap.assign(n, -1);
-  chosenEntry.assign(n, -1);
-  chosenEpoch.assign(n, 0);
-  replicaBit.assign(n, 0);
-  liveEntries = 0;
-  nextCompactCheck = 0;
-  comboSpans.clear();
-  comboChild.clear();
-  comboOffset.clear();
-  comboCount.clear();
-  if (!withCombos) return;
-  comboOffset.assign(n, 0);
-  comboCount.assign(n, 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    comboOffset[vi] = running;
-    comboCount[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += comboCount[vi];
-  }
-  comboSpans.assign(static_cast<std::size_t>(running), FrontierSpan{});
-  comboChild.assign(static_cast<std::size_t>(running), kNoVertex);
+  arena.reset((withCombos ? 17 : 4) * decomp.bagCount());
+  grow(decomp, withCombos);
 }
 
 template <typename Entry>
@@ -96,8 +73,6 @@ template struct FrontierCacheState<QosFrontierEntry>;
 }  // namespace detail
 
 namespace {
-
-constexpr double kInfiniteSlack = std::numeric_limits<double>::infinity();
 
 /// Copy-compact the persistent arena once dead generations dominate: stage
 /// every clean vertex's spans, reset the slab, re-push. Spans are indices and
@@ -161,7 +136,6 @@ void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree
   }
   cache.arena.reset(std::max(2 * stage.size(), 4 * n));
   for (const Entry& e : stage) cache.arena.push(e);
-  cache.liveEntries = stage.size();
   cache.nextCompactCheck = 0;
   ++stats.compactions;
 }
@@ -252,7 +226,7 @@ DeltaApplication IncrementalSolver::applyWithoutInvalidation(
 
 std::optional<Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
   try {
-    return policy_ == OnlinePolicy::ClosestQos ? resolveQos(guard) : resolve2d(guard);
+    return resolveOnce(guard);
   } catch (const SolveInterrupted&) {
     // Budget trips are clean by construction (the checkpoint precedes the
     // vertex stamp): caches and dirty set are exact, so the verdict goes
@@ -267,8 +241,7 @@ std::optional<Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
     ++stats_.scratchFallbacks;
     invalidateCaches();
     try {
-      return policy_ == OnlinePolicy::ClosestQos ? resolveQos(guard)
-                                                 : resolve2d(guard);
+      return resolveOnce(guard);
     } catch (...) {
       invalidateCaches();  // leave a coherent (empty) state for the next call
       throw;
@@ -289,11 +262,6 @@ void IncrementalSolver::invalidateCaches() {
   flips_.clear();
   placement_.reset();
   assignRebuildNeeded_ = true;
-}
-
-template <typename Entry>
-void IncrementalSolver::maybeCompact(detail::FrontierCacheState<Entry>& cache) {
-  compactIfBloated(cache, instance_->tree, tracker_, stats_);
 }
 
 void IncrementalSolver::orderPendingDirty() {
@@ -355,304 +323,103 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
   }
 }
 
-// The 2-D policies share one body: same convolution chain as the exact
-// solvers (solveClosestHomogeneous / solveMultipleHomogeneousDP), same
-// place/skip steps, run only over dirty vertices. Because the merges go
-// through the very same FrontierConvolver, every recomputed frontier is
-// bit-identical to what a scratch solve would build — the incremental
-// placement therefore *equals* the scratch placement, not merely its cost.
-std::optional<Placement> IncrementalSolver::resolve2d(BudgetGuard* guard) {
-  const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
+std::optional<Placement> IncrementalSolver::resolveOnce(BudgetGuard* guard) {
+  if (policy_ == OnlinePolicy::ClosestQos)
+    return resolveWith(ClosestQosKernel(*instance_), cacheQos_, guard);
+  if (policy_ == OnlinePolicy::Multiple)
+    return resolveWith(MultipleKernel::homogeneous(*instance_), cache2d_, guard);
+  return resolveWith(ClosestKernel(*instance_), cache2d_, guard);
+}
 
-  auto& cache = cache2d_;
-  maybeCompact(cache);
-  auto& arena = cache.arena;
-  FrontierConvolver conv(arena);
-  const TreeDecomposition decomp(tree);
+// The memo driver: the batch driver's recurrence (same kernel, arena store,
+// canonical merge order and chain caps) run only over dirty bags, so every
+// recomputed frontier is bit-identical to what a scratch solve would build
+// — the incremental placement therefore *equals* the scratch placement, not
+// merely its cost. One deliberate divergence from the batch driver: a QoS
+// fold that kills every state does not end the pass. The empty span is
+// carried forward — it empties every ancestor accumulator, so the root
+// frontier ends without a zero-flow entry and the verdict (infeasible) is
+// identical, but the cache stays coherent for the next mutation.
+template <typename Kernel>
+std::optional<Placement> IncrementalSolver::resolveWith(
+    const Kernel& kernel, detail::FrontierCacheState<typename Kernel::Entry>& cache,
+    BudgetGuard* guard) {
+  const std::size_t n = instance_->tree.vertexCount();
+  compactIfBloated(cache, instance_->tree, tracker_, stats_);
+  ArenaStore<typename Kernel::Entry> store(cache.arena);
+  const TreeDecomposition decomp(instance_->tree);
 
-  std::vector<FrontierEntry> options;
   std::size_t misses = 0;
-  const auto recompute = [&](BagId v) {
+  const auto recompute = [&](BagId b) {
     // Safepoint BEFORE the epoch stamp: an interrupted resolve leaves this
     // bag dirty and everything already recomputed exact.
     if (guard != nullptr) guard->checkpoint();
-    const auto vi = static_cast<std::size_t>(v);
+    const auto bi = static_cast<std::size_t>(b);
     ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
-    cache.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push(
-          {0, instance.requests[static_cast<std::size_t>(decomp.anchor(v))], -1,
-           -1});
-      cache.frontier[vi] = arena.endSpan(begin);
+    const std::uint64_t prevEpoch = cache.computedEpoch[bi];
+    cache.computedEpoch[bi] = tracker_.epoch();
+    if (decomp.anchorIsClient(b)) {
+      cache.frontier[bi] = store.seed(kernel.seed(decomp, b));
       return;
     }
 
-    const std::size_t clientsBelow = decomp.clientsInCone(v);
-    const std::size_t internalsBelow = decomp.internalsInCone(v);
-    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[vi]);
-    const std::span<const BagId> children = decomp.mergeChildren(v);
-
+    const std::int32_t cap = Kernel::chainCap(decomp, b);
+    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[bi]);
+    const std::span<const BagId> children = decomp.mergeChildren(b);
     // Prefix reuse: the cached combo chain is still exact up to the first
     // slot whose recorded child diverges from the current merge order or
     // whose child frontier was recomputed after the chain was built
     // (children run first in postorder, so their stamps are current).
-    // W enters only the place fold below, never the chain, so a global
-    // capacity change re-folds every vertex without re-convolving anything.
-    const auto firstChanged = [&](std::int32_t cap) -> std::size_t {
-      if (prevEpoch == 0 || cache.comboCap[vi] != cap) return 0;
-      std::size_t f = 0;
-      while (f < children.size() &&
-             cache.comboChild[comboBase + f] == children[f] &&
+    // Capacities, compute times and QoS budgets enter only the fold, never
+    // the chain (uplinks are immutable), so a global capacity change re-folds
+    // every bag without re-convolving anything.
+    std::size_t f = 0;
+    if (prevEpoch > 0 && cache.comboCap[bi] == cap) {
+      while (f < children.size() && cache.comboChild[comboBase + f] == children[f] &&
              cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
         ++f;
-      return f;
-    };
-
-    if (policy_ == OnlinePolicy::Closest) {
-      const auto forestCap =
-          static_cast<std::int32_t>(std::min(clientsBelow, internalsBelow - 1));
-      const std::size_t f = firstChanged(forestCap);
-      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
-      for (std::size_t ci = f; ci < children.size(); ++ci) {
-        acc = conv.convolve(
-            acc, cache.frontier[static_cast<std::size_t>(children[ci])], forestCap);
-        cache.comboSpans[comboBase + ci] = acc;
-        cache.comboChild[comboBase + ci] = children[ci];
-      }
-      if (!children.empty())
-        acc = cache.comboSpans[comboBase + children.size() - 1];
-      cache.comboCap[vi] = forestCap;
-      // Closest's suffix trick (see solveClosestHomogeneous): keep entries up
-      // to the first flow <= W, then the single non-dominated place point.
-      std::size_t k0 = acc.size;
-      for (std::size_t k = 0; k < acc.size; ++k) {
-        if (arena.at(acc, k).flow <= W) {
-          k0 = k;
-          break;
-        }
-      }
-      const std::uint32_t begin = arena.beginSpan();
-      for (std::size_t k = 0;
-           k < std::min(k0 + 1, static_cast<std::size_t>(acc.size)); ++k) {
-        const FrontierEntry e = arena.at(acc, k);
-        arena.push({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-      }
-      if (k0 < acc.size) {
-        const FrontierEntry e = arena.at(acc, k0);
-        if (e.flow > 0)
-          arena.push({e.count + 1, 0, static_cast<std::int32_t>(k0), 1});
-      }
-      cache.frontier[vi] = arena.endSpan(begin);
-    } else {
-      const auto forestCap = static_cast<std::int32_t>(internalsBelow - 1);
-      const std::size_t f = firstChanged(forestCap);
-      FrontierSpan acc = f == 0 ? conv.unit() : cache.comboSpans[comboBase + f - 1];
-      for (std::size_t ci = f; ci < children.size(); ++ci) {
-        acc = conv.convolve(
-            acc, cache.frontier[static_cast<std::size_t>(children[ci])], forestCap);
-        cache.comboSpans[comboBase + ci] = acc;
-        cache.comboChild[comboBase + ci] = children[ci];
-      }
-      if (!children.empty())
-        acc = cache.comboSpans[comboBase + children.size() - 1];
-      cache.comboCap[vi] = forestCap;
-      // Multiple's place step absorbs min(flow, W) — general candidate prune.
-      options.clear();
-      for (std::size_t k = 0; k < acc.size; ++k) {
-        const FrontierEntry e = arena.at(acc, k);
-        options.push_back({e.count, e.flow, static_cast<std::int32_t>(k), 0});
-        if (e.flow > 0)
-          options.push_back({e.count + 1, std::max<Requests>(0, e.flow - W),
-                             static_cast<std::int32_t>(k), 1});
-      }
-      cache.frontier[vi] =
-          conv.pruneCandidates(options, static_cast<std::int32_t>(internalsBelow));
     }
+    FrontierSpan acc = f == 0 ? store.unit() : cache.comboSpans[comboBase + f - 1];
+    for (std::size_t ci = f; ci < children.size(); ++ci) {
+      acc = kernel.merge(store, acc, cache.frontier[static_cast<std::size_t>(children[ci])],
+                         decomp, children[ci], cap);
+      cache.comboSpans[comboBase + ci] = acc;
+      cache.comboChild[comboBase + ci] = children[ci];
+    }
+    cache.comboCap[bi] = cap;
+    cache.frontier[bi] = kernel.fold(store, acc, decomp, b, cap);
   };
 
   // A global invalidation (or the first solve) sweeps everything; otherwise
   // exactly the stamped bags, in schedule order, are recomputed — the clean
   // rest of the tree is never even looked at.
+  const auto recomputeDirty = [&](std::span<const BagId> bags) {
+    for (const BagId b : bags)
+      if (cache.computedEpoch[static_cast<std::size_t>(b)] < tracker_.dirtySince(b))
+        recompute(b);
+  };
   if (pendingGlobal_) {
-    for (const BagId v : decomp.schedule()) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
+    recomputeDirty(decomp.schedule());
   } else {
     orderPendingDirty();
-    for (const VertexId v : pendingDirty_) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
+    recomputeDirty(pendingDirty_);
   }
   pendingDirty_.clear();
   pendingGlobal_ = false;
   stats_.misses += misses;
   stats_.hits += n - misses;
+  stats_.arenaEntries = cache.arena.entryCount();
+  stats_.arenaBytes = cache.arena.bytes();
 
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  const FrontierSpan rootSpan =
-      cache.frontier[static_cast<std::size_t>(decomp.rootBag())];
-  if (rootSpan.empty() || arena.at(rootSpan, rootSpan.size - 1).flow != 0)
-    return std::nullopt;
-
+  const std::int32_t root =
+      rootEntry(store, cache.frontier[static_cast<std::size_t>(decomp.rootBag())]);
+  if (root < 0) return std::nullopt;
   flips_.clear();
-  reconstruct(cache, static_cast<std::int32_t>(rootSpan.size - 1));
-
+  reconstruct(cache, root);
   if (policy_ == OnlinePolicy::Multiple)
     refreshMultipleAssignment(cache.replicaBit);
   else
     refreshClosestAssignment(cache.replicaBit);
-  return *placement_;
-}
-
-// Incremental twin of solveClosestHomogeneousQos. One deliberate divergence:
-// the one-shot solver aborts as soon as a fold kills every state, while this
-// loop carries the empty span forward — an empty child frontier empties every
-// ancestor accumulator, so the root frontier ends without a zero-flow entry
-// and the verdict (infeasible) is identical, but the cache stays coherent for
-// the next mutation.
-std::optional<Placement> IncrementalSolver::resolveQos(BudgetGuard* guard) {
-  const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  const Requests W = instance.homogeneousCapacity();
-  TREEPLACE_REQUIRE(W > 0, "capacity must be positive");
-
-  auto& cache = cacheQos_;
-  maybeCompact(cache);
-  auto& arena = cache.arena;
-  QosFrontierSweep sweep(arena);
-  const TreeDecomposition decomp(tree);
-
-  std::size_t misses = 0;
-  const auto recompute = [&](BagId v) {
-    if (guard != nullptr) guard->checkpoint();  // before the stamp, as in resolve2d
-    const auto vi = static_cast<std::size_t>(v);
-    ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[vi];
-    cache.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const auto ai = static_cast<std::size_t>(decomp.anchor(v));
-      const Requests r = instance.requests[ai];
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push({0, r, r > 0 ? instance.qos[ai] : kInfiniteSlack, -1, -1});
-      cache.frontier[vi] = arena.endSpan(begin);
-      return;
-    }
-
-    const auto countCap = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[vi]);
-    const std::span<const BagId> children = decomp.mergeChildren(v);
-
-    // Prefix reuse, as in resolve2d: uplinks are immutable and W/compTime
-    // enter only the fold, so the cached chain is exact up to the first
-    // slot whose recorded child diverges from the merge order or was
-    // recomputed after the chain was built.
-    std::size_t f = 0;
-    if (prevEpoch > 0 && cache.comboCap[vi] == countCap) {
-      while (f < children.size() &&
-             cache.comboChild[comboBase + f] == children[f] &&
-             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-    }
-    FrontierSpan acc;
-    if (f == 0) {
-      const std::uint32_t accBegin = arena.beginSpan();
-      arena.push({0, 0, kInfiniteSlack, -1, -1});
-      acc = arena.endSpan(accBegin);
-    } else {
-      acc = cache.comboSpans[comboBase + f - 1];
-    }
-    for (std::size_t ci = f; ci < children.size(); ++ci) {
-      const BagId child = children[ci];
-      const double uplink =
-          instance.commTime[static_cast<std::size_t>(decomp.anchor(child))];
-      const FrontierSpan childFrontier =
-          cache.frontier[static_cast<std::size_t>(child)];
-      sweep.begin(countCap);
-      for (std::size_t p = 0; p < acc.size; ++p) {
-        const QosFrontierEntry accEntry = arena.at(acc, p);
-        for (std::size_t c = 0; c < childFrontier.size; ++c) {
-          const QosFrontierEntry& childEntry = arena.at(childFrontier, c);
-          const double childSlack = childEntry.flow > 0
-                                        ? childEntry.slack - uplink
-                                        : kInfiniteSlack;
-          if (childSlack < -1e-9) continue;  // dead: client unreachable in time
-          sweep.add({accEntry.count + childEntry.count,
-                     accEntry.flow + childEntry.flow,
-                     std::min(accEntry.slack, childSlack),
-                     static_cast<std::int32_t>(p), static_cast<std::int32_t>(c)});
-        }
-      }
-      acc = sweep.emit();
-      cache.comboSpans[comboBase + ci] = acc;
-      cache.comboChild[comboBase + ci] = children[ci];
-    }
-    if (!children.empty()) acc = cache.comboSpans[comboBase + children.size() - 1];
-    cache.comboCap[vi] = countCap;
-
-    const double comp =
-        instance.compTime[static_cast<std::size_t>(decomp.anchor(v))];
-    sweep.begin(countCap);
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const QosFrontierEntry e = arena.at(acc, k);
-      sweep.add({e.count, e.flow, e.slack, static_cast<std::int32_t>(k), 0});
-      if (e.flow <= W && e.slack >= comp - 1e-9)
-        sweep.add({e.count + 1, 0, kInfiniteSlack, static_cast<std::int32_t>(k), 1});
-    }
-    cache.frontier[vi] = sweep.emit();
-  };
-
-  if (pendingGlobal_) {
-    for (const BagId v : decomp.schedule()) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
-  } else {
-    orderPendingDirty();
-    for (const VertexId v : pendingDirty_) {
-      if (cache.computedEpoch[static_cast<std::size_t>(v)] >= tracker_.dirtySince(v))
-        continue;
-      recompute(v);
-    }
-  }
-  pendingDirty_.clear();
-  pendingGlobal_ = false;
-  stats_.misses += misses;
-  stats_.hits += n - misses;
-
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  // The cheapest zero-flow entry is the first one (cf. solveClosestHomogeneousQos).
-  const FrontierSpan rootSpan =
-      cache.frontier[static_cast<std::size_t>(decomp.rootBag())];
-  std::int32_t bestIdx = -1;
-  for (std::size_t k = 0; k < rootSpan.size; ++k) {
-    if (arena.at(rootSpan, k).flow == 0) {
-      bestIdx = static_cast<std::int32_t>(k);
-      break;
-    }
-  }
-  if (bestIdx < 0) return std::nullopt;
-
-  flips_.clear();
-  reconstruct(cache, bestIdx);
-  refreshClosestAssignment(cache.replicaBit);
   return *placement_;
 }
 
@@ -957,148 +724,28 @@ DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
   return app;
 }
 
-// Incremental twin of FrontierSubtreeRelaxation::build: the frontier pass is
-// memoized per subtree (the expensive part), while the derived scalar passes
-// — ancestor capacities, per-subtree floors, the decomposition bound — are
-// linear scans recomputed wholesale.
+// The relaxation pass of FrontierSubtreeRelaxation::build, memoized: the
+// shared relaxation step runs only for dirty bags, while the derived scalar
+// passes — ancestor capacities, per-subtree floors, the decomposition bound —
+// are linear scans rerun wholesale.
 void IncrementalBounds::refresh() {
   const ProblemInstance& instance = *instance_;
-  const Tree& tree = instance.tree;
-  const std::size_t n = tree.vertexCount();
-  minReplicas_.assign(n, 0);
-
-  compactIfBloated(cache_, tree, tracker_, stats_);
-  auto& arena = cache_.arena;
-  FrontierConvolver conv(arena);
-  const TreeDecomposition decomp(tree);
-
-  // Raw child order, matching FrontierSubtreeRelaxation::build — no replay,
-  // no reconstruction, so canonical merge order buys nothing here.
-  std::vector<FrontierEntry> options;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (cache_.computedEpoch[vi] >= tracker_.dirtySince(v)) {
+  compactIfBloated(cache_, instance.tree, tracker_, stats_);
+  ArenaStore<FrontierEntry> store(cache_.arena);
+  const TreeDecomposition decomp(instance.tree);
+  for (const BagId b : decomp.schedule()) {
+    const auto bi = static_cast<std::size_t>(b);
+    if (cache_.computedEpoch[bi] >= tracker_.dirtySince(b)) {
       ++stats_.hits;
       continue;
     }
     ++stats_.misses;
-    cache_.computedEpoch[vi] = tracker_.epoch();
-
-    if (decomp.anchorIsClient(v)) {
-      const std::uint32_t begin = arena.beginSpan();
-      arena.push(
-          {0, instance.requests[static_cast<std::size_t>(decomp.anchor(v))], -1,
-           -1});
-      cache_.frontier[vi] = arena.endSpan(begin);
-      continue;
-    }
-    const auto internalsBelow = static_cast<std::int32_t>(decomp.internalsInCone(v));
-    FrontierSpan acc = conv.unit();
-    for (const BagId child : decomp.children(v))
-      acc = conv.convolve(acc, cache_.frontier[static_cast<std::size_t>(child)],
-                          internalsBelow);
-    options.clear();
-    const Requests cap = instance.capacity[vi];
-    for (std::size_t k = 0; k < acc.size; ++k) {
-      const FrontierEntry e = arena.at(acc, k);
-      options.push_back({e.count, e.flow, -1, -1});
-      if (cap > 0 && e.flow > 0)
-        options.push_back({e.count + 1, std::max<Requests>(0, e.flow - cap), -1, -1});
-    }
-    cache_.frontier[vi] = conv.pruneCandidates(options, internalsBelow);
+    cache_.computedEpoch[bi] = tracker_.epoch();
+    cache_.frontier[bi] = detail::relaxationStep(instance, decomp, b, store, cache_.frontier);
   }
-
-  stats_.arenaEntries = arena.entryCount();
-  stats_.arenaBytes = arena.bytes();
-
-  // Derived passes, verbatim from FrontierSubtreeRelaxation::build.
-  feasible_ = true;
-  std::vector<Requests> ancestorCapacity(n, 0);
-  for (const VertexId v : tree.preorder()) {
-    const VertexId p = tree.parent(v);
-    if (p == kNoVertex) continue;
-    const auto pi = static_cast<std::size_t>(p);
-    ancestorCapacity[static_cast<std::size_t>(v)] =
-        ancestorCapacity[pi] + instance.capacity[pi];
-  }
-
-  for (const VertexId v : tree.internals()) {
-    const auto vi = static_cast<std::size_t>(v);
-    const std::span<const FrontierEntry> f = arena.view(cache_.frontier[vi]);
-    std::int32_t r = -1;
-    for (const FrontierEntry& e : f) {  // flow decreases: first hit is cheapest
-      if (e.flow <= ancestorCapacity[vi]) {
-        r = e.count;
-        break;
-      }
-    }
-    if (r < 0) {
-      feasible_ = false;
-      r = static_cast<std::int32_t>(tree.subtreeSize(v) -
-                                    tree.clientsInSubtree(v).size());
-    }
-    minReplicas_[vi] = r;
-  }
-
-  const auto& internals = tree.internals();
-  const std::size_t internalCount = internals.size();
-  std::vector<std::int32_t> prePos(n, 0);
-  {
-    const auto& pre = tree.preorder();
-    for (std::size_t i = 0; i < pre.size(); ++i)
-      prePos[static_cast<std::size_t>(pre[i])] = static_cast<std::int32_t>(i);
-  }
-  std::vector<std::int32_t> intPos(internalCount);
-  std::vector<double> intCosts(internalCount);
-  std::vector<std::size_t> intIndex(n, 0);
-  for (std::size_t k = 0; k < internalCount; ++k) {
-    const auto vi = static_cast<std::size_t>(internals[k]);
-    intPos[k] = prePos[vi];
-    intCosts[k] = instance.storageCost[vi];
-    intIndex[vi] = k;
-  }
-  std::vector<double> minCostBelow(n, 0.0);
-  std::vector<double> maxCostBelow(n, 0.0);
-  std::vector<double> best(n, 0.0);
-  std::vector<double> costScratch;
-  for (const VertexId v : tree.postorder()) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (tree.isClient(v)) continue;
-    double childSum = 0.0;
-    minCostBelow[vi] = maxCostBelow[vi] = instance.storageCost[vi];
-    for (const VertexId c : tree.children(v)) {
-      const auto ci = static_cast<std::size_t>(c);
-      childSum += best[ci];
-      if (tree.isInternal(c)) {
-        minCostBelow[vi] = std::min(minCostBelow[vi], minCostBelow[ci]);
-        maxCostBelow[vi] = std::max(maxCostBelow[vi], maxCostBelow[ci]);
-      }
-    }
-    double own = 0.0;
-    if (minReplicas_[vi] > 0) {
-      const std::size_t k = intIndex[vi];
-      const auto endPos =
-          prePos[vi] + static_cast<std::int32_t>(tree.subtreeSize(v));
-      const auto endIdx = static_cast<std::size_t>(
-          std::lower_bound(intPos.begin() + static_cast<std::ptrdiff_t>(k),
-                           intPos.end(), endPos) -
-          intPos.begin());
-      const std::size_t r =
-          std::min(static_cast<std::size_t>(minReplicas_[vi]), endIdx - k);
-      if (minCostBelow[vi] == maxCostBelow[vi]) {
-        own = static_cast<double>(r) * minCostBelow[vi];
-      } else {
-        costScratch.assign(intCosts.begin() + static_cast<std::ptrdiff_t>(k),
-                          intCosts.begin() + static_cast<std::ptrdiff_t>(endIdx));
-        std::partial_sort(costScratch.begin(),
-                          costScratch.begin() + static_cast<std::ptrdiff_t>(r),
-                          costScratch.end());
-        for (std::size_t i = 0; i < r; ++i) own += costScratch[i];
-      }
-    }
-    best[vi] = std::max(own, childSum);
-  }
-  decompositionBound_ = best[static_cast<std::size_t>(tree.root())];
+  stats_.arenaEntries = cache_.arena.entryCount();
+  stats_.arenaBytes = cache_.arena.bytes();
+  floors_ = detail::deriveRelaxationFloors(instance, cache_.arena, cache_.frontier);
 }
 
 }  // namespace treeplace

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/bounds.hpp"
 #include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "online/delta.hpp"
@@ -88,7 +89,6 @@ struct FrontierCacheState {
   std::vector<std::int32_t> chosenEntry;
   std::vector<std::uint64_t> chosenEpoch;
   std::vector<char> replicaBit;
-  std::size_t liveEntries = 0;  ///< live-span entries at the last compaction
   /// Arena size below which the compaction live-scan is skipped entirely;
   /// bumped after every scan so the O(n) walk amortizes over arena growth
   /// instead of running on every resolve.
@@ -106,14 +106,16 @@ struct FrontierCacheState {
 /// Incremental re-optimization engine for the polynomial homogeneous solvers
 /// (Closest, Multiple via the frontier DP, Closest+QoS).
 ///
-/// The solver memoizes every subtree's Pareto frontier (and the prefix
-/// convolutions the reconstruction walk needs) in a persistent arena, keyed
-/// by epoch counters: a mutation stamps only the touched vertices and their
-/// root paths (DirtyTracker), so a re-solve recomputes O(depth) frontiers
-/// instead of O(s) and reuses everything else. Recomputation runs the exact
-/// solvers' own merge code (FrontierConvolver / QosFrontierSweep), so the
-/// incremental placement is bit-identical to a from-scratch solve after
-/// every step — the equivalence tests pin this down per policy.
+/// The solver is the epoch-stamped memo driver of the frontier kernels
+/// (core/frontier_kernels). It memoizes every subtree's Pareto frontier (and
+/// the prefix convolutions the reconstruction walk needs) in a persistent
+/// arena, keyed by epoch counters: a mutation stamps only the touched
+/// vertices and their root paths (DirtyTracker), so a re-solve recomputes
+/// O(depth) frontiers instead of O(s) and reuses everything else. A
+/// recompute folds the same kernel through the same arena store, merge order
+/// and caps as the batch solvers, so the incremental placement is
+/// bit-identical to a from-scratch solve after every step — the equivalence
+/// tests pin this down per policy.
 ///
 /// The instance is shared with the caller (scratch comparisons and the
 /// mutation driver read it); it must outlive the solver and mutate only
@@ -158,14 +160,16 @@ class IncrementalSolver {
 
  private:
   void noteDelta(const DeltaApplication& app);
-  std::optional<Placement> resolve2d(BudgetGuard* guard);
-  std::optional<Placement> resolveQos(BudgetGuard* guard);
+  /// One resolve attempt through the policy's kernel (the memo driver).
+  std::optional<Placement> resolveOnce(BudgetGuard* guard);
+  template <typename Kernel>
+  std::optional<Placement> resolveWith(
+      const Kernel& kernel, detail::FrontierCacheState<typename Kernel::Entry>& cache,
+      BudgetGuard* guard);
   /// Drop every cache, the pending dirty bookkeeping, and the incumbent
   /// assignment — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
-  template <typename Entry>
-  void maybeCompact(detail::FrontierCacheState<Entry>& cache);
   /// Sort the pending dirty list into postorder processing position and drop
   /// duplicates (the same vertex stamped across several epochs).
   void orderPendingDirty();
@@ -224,12 +228,13 @@ class IncrementalSolver {
   std::uint64_t markGen_ = 0;
 };
 
-/// Incremental twin of core/bounds' FrontierSubtreeRelaxation: the per-subtree
-/// relaxation frontiers (place absorbs min(flow, W_v) — valid for every
-/// policy) are memoized with the same epoch scheme as IncrementalSolver,
-/// while the cheap derived passes (ancestor capacities, per-subtree replica
-/// floors R_v, the additive decomposition bound) are recomputed per refresh.
-/// Feeds knownLowerBound into the warm ILP re-solve path.
+/// Memoized core/bounds FrontierSubtreeRelaxation: the per-subtree
+/// relaxation frontiers (the Multiple kernel under W_v — valid for every
+/// policy) are recomputed through the same relaxation step, but only for
+/// bags stamped dirty under IncrementalSolver's epoch scheme, while the
+/// cheap derived passes (ancestor capacities, per-subtree replica floors
+/// R_v, the additive decomposition bound) are rerun per refresh. Feeds
+/// knownLowerBound into the warm ILP re-solve path.
 class IncrementalBounds {
  public:
   explicit IncrementalBounds(ProblemInstance& instance);
@@ -243,10 +248,10 @@ class IncrementalBounds {
   /// Recompute dirty relaxation frontiers and the derived floors/bound.
   void refresh();
 
-  bool feasible() const { return feasible_; }
-  double decompositionBound() const { return decompositionBound_; }
+  bool feasible() const { return floors_.feasible; }
+  double decompositionBound() const { return floors_.decompositionBound; }
   std::int32_t minReplicasIn(VertexId v) const {
-    return minReplicas_[static_cast<std::size_t>(v)];
+    return floors_.minReplicas[static_cast<std::size_t>(v)];
   }
   std::int32_t minTotalReplicas() const {
     return minReplicasIn(instance_->tree.root());
@@ -258,9 +263,7 @@ class IncrementalBounds {
   DirtyTracker tracker_;
   FrontierCacheStats stats_;
   detail::FrontierCacheState<FrontierEntry> cache_;
-  std::vector<std::int32_t> minReplicas_;
-  double decompositionBound_ = 0.0;
-  bool feasible_ = true;
+  detail::RelaxationFloors floors_;
 };
 
 }  // namespace treeplace

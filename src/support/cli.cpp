@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "support/require.hpp"
@@ -62,6 +63,21 @@ double Options::getDoubleOr(const std::string& name, double fallback) const {
   return parseDouble(name, *v);
 }
 
+std::vector<std::int64_t> Options::getIntListOr(
+    const std::string& name, std::vector<std::int64_t> fallback) const {
+  const auto v = get(name);
+  if (!v) return fallback;
+  std::vector<std::int64_t> values;
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = std::min(v->find(',', begin), v->size());
+    if (end == begin)
+      throw OptionError("option --" + name + "=" + *v + ": empty list entry");
+    values.push_back(parseInt(name, v->substr(begin, end - begin)));
+    if (end == v->size()) return values;
+    begin = end + 1;
+  }
+}
+
 std::int64_t Options::parseInt(const std::string& name, const std::string& text) {
   std::int64_t value = 0;
   const char* first = text.data();
@@ -95,6 +111,15 @@ std::optional<std::string> Options::fromEnv(const std::string& name) const {
   }
   if (const char* value = std::getenv(key.c_str())) return std::string(value);
   return std::nullopt;
+}
+
+int runCli(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const OptionError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace treeplace

@@ -34,6 +34,11 @@ class Options {
   /// OptionError is thrown. Absent options return the fallback untouched.
   std::int64_t getIntOr(const std::string& name, std::int64_t fallback) const;
   double getDoubleOr(const std::string& name, double fallback) const;
+  /// Strict comma-separated integer list (--sizes=200,400): every token must
+  /// parse as getIntOr's values do, and empty tokens ("200,,400", "200,")
+  /// are rejected with an OptionError. Absent options return the fallback.
+  std::vector<std::int64_t> getIntListOr(const std::string& name,
+                                         std::vector<std::int64_t> fallback) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -46,5 +51,10 @@ class Options {
   std::vector<std::string> positionals_;
   std::string envPrefix_;
 };
+
+/// The main() of every bench and example that reads numeric options: runs
+/// `body(argc, argv)` and turns a malformed option (OptionError) into its
+/// message on stderr and exit code 2 instead of an uncaught exception.
+int runCli(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace treeplace

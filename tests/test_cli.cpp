@@ -126,5 +126,45 @@ TEST(Cli, RejectsGarbageFromEnvironment) {
   ::unsetenv("TREEPLACE_ENV_GARBAGE");
 }
 
+// Comma lists (bench size sweeps) go through the same strict integer parser,
+// token by token; an empty token is a typo, not a skipped entry.
+TEST(Cli, IntListParsesEveryToken) {
+  const auto o = makeOptions({"--sizes=200,400,-3"});
+  EXPECT_EQ(o.getIntListOr("sizes", {1}), (std::vector<std::int64_t>{200, 400, -3}));
+  EXPECT_EQ(o.getIntListOr("absent", {5, 6}), (std::vector<std::int64_t>{5, 6}));
+  EXPECT_EQ(makeOptions({"--sizes=7"}).getIntListOr("sizes", {}),
+            (std::vector<std::int64_t>{7}));
+}
+
+TEST(Cli, IntListRejectsGarbageTokens) {
+  for (const char* bad : {"--sizes=abc", "--sizes=200,4x", "--sizes=200,3.5",
+                          "--sizes=200,99999999999999999999999"}) {
+    const auto o = makeOptions({bad});
+    try {
+      (void)o.getIntListOr("sizes", {});
+      FAIL() << bad << " accepted";
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(e.what()).find("sizes"), std::string::npos) << bad;
+    }
+  }
+}
+
+TEST(Cli, IntListRejectsEmptyTokens) {
+  for (const char* bad : {"--sizes=", "--sizes=200,,400", "--sizes=200,", "--sizes=,200"})
+    EXPECT_THROW((void)makeOptions({bad}).getIntListOr("sizes", {}), OptionError) << bad;
+}
+
+int throwsOptionError(int, char**) { throw OptionError("option --x=y: bad"); }
+int returnsSeven(int, char**) { return 7; }
+
+TEST(Cli, RunCliTurnsOptionErrorsIntoExitTwo) {
+  char name[] = "prog";
+  char* argv[] = {name, nullptr};
+  EXPECT_EQ(runCli(1, argv, returnsSeven), 7);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(runCli(1, argv, throwsOptionError), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--x=y"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace treeplace

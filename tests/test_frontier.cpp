@@ -6,9 +6,13 @@
 #include <limits>
 #include <vector>
 
+#include "core/bounds.hpp"
+#include "core/frontier_stream.hpp"
 #include "core/validate.hpp"
 #include "exact/closest_homogeneous.hpp"
+#include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
+#include "tree/generator.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 
@@ -359,6 +363,83 @@ TEST(FrontierSolverEquivalence, ClosestStatsRespectWidthBound) {
   // One convolution per (internal parent, child) edge: n - 1 in total.
   EXPECT_EQ(stats.convolutions, inst.tree.vertexCount() - 1);
   EXPECT_GT(stats.arenaBytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned DP work: the amount of merging every frontier driver performs on two
+// fixed s=2000 instances (one with 30% QoS clients, whose streaming QoS run
+// hits the width cap). Refactors of the recurrences, stores or drivers must
+// leave these counters exactly as they are — answers alone do not show a
+// changed merge order, cap or fold.
+// ---------------------------------------------------------------------------
+
+struct WorkTriple {
+  std::size_t merged;  ///< entriesMerged / pairsMerged
+  std::size_t convolutions;
+  std::size_t peakWidth;
+
+  friend bool operator==(const WorkTriple&, const WorkTriple&) = default;
+};
+
+void PrintTo(const WorkTriple& w, std::ostream* os) {
+  *os << "{" << w.merged << ", " << w.convolutions << ", " << w.peakWidth << "}";
+}
+
+WorkTriple workOf(const FrontierStats& s) {
+  return {s.entriesMerged, s.convolutions, s.peakWidth};
+}
+
+WorkTriple workOf(const FrontierStreamStats& s) {
+  return {s.pairsMerged, s.convolutions, s.peakWidth};
+}
+
+struct PinnedWorkCase {
+  std::uint64_t seed;
+  double qosFraction;
+  WorkTriple closest, multipleDp, qos;                    ///< batch DPs
+  WorkTriple streamClosest, streamMultiple, streamQos;    ///< streaming twins
+  WorkTriple relaxation;                                  ///< FrontierSubtreeRelaxation
+};
+
+TEST(FrontierWork, DriversPerformThePinnedAmountOfWork) {
+  const PinnedWorkCase cases[] = {
+      {2024, 0.0,
+       {26919, 1999, 210}, {22271, 1999, 164}, {30004, 2599, 210},
+       {29823, 1999, 210}, {24552, 2599, 164}, {32908, 2599, 210},
+       {24552, 1999, 164}},
+      {77, 0.3,
+       {25925, 1999, 207}, {21683, 1999, 165}, {161892, 2599, 620},
+       {28010, 1999, 207}, {23327, 2599, 165}, {131136, 2599, 591},
+       {23327, 1999, 165}},
+  };
+  for (const PinnedWorkCase& c : cases) {
+    GeneratorConfig config;
+    config.minSize = config.maxSize = 2000;
+    config.clientFraction = 0.7;
+    config.leafClientBias = 1.0;
+    config.maxRequests = 3;
+    config.lambda = 0.25;
+    config.unitCosts = true;
+    config.qosFraction = c.qosFraction;
+    config.qosMinHops = 6;
+    config.qosMaxHops = 12;
+    const ProblemInstance inst = generateInstance(config, c.seed, 0);
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+
+    FrontierStats closest, multipleDp, qos;
+    ASSERT_TRUE(solveClosestHomogeneous(inst, &closest).has_value());
+    ASSERT_TRUE(solveMultipleHomogeneousDP(inst, &multipleDp).has_value());
+    ASSERT_TRUE(solveClosestHomogeneousQos(inst, &qos).has_value());
+    EXPECT_EQ(workOf(closest), c.closest);
+    EXPECT_EQ(workOf(multipleDp), c.multipleDp);
+    EXPECT_EQ(workOf(qos), c.qos);
+
+    EXPECT_EQ(workOf(countClosestHomogeneousStreaming(inst).stats), c.streamClosest);
+    EXPECT_EQ(workOf(countMultipleHomogeneousStreaming(inst).stats), c.streamMultiple);
+    EXPECT_EQ(workOf(countClosestQosStreaming(inst).stats), c.streamQos);
+
+    EXPECT_EQ(workOf(FrontierSubtreeRelaxation(inst).stats()), c.relaxation);
+  }
 }
 
 }  // namespace
