@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_legacy_placement.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/exact_ilp.hpp"
@@ -91,15 +90,13 @@ struct PolyRow {
   PlacementStats multiplePlacement;  ///< storage telemetry of the Multiple solve
 };
 
-/// Flat-arena vs vector-per-client Placement hot loops at the largest size
-/// (the committed trajectory companion of bench_micro_placement).
+/// Flat-arena Placement hot loops at the largest size (the committed
+/// trajectory companion of bench_micro_placement).
 struct MicroPlacementRow {
   int size = 0;
   double assignFlatMs = 0.0;
-  double assignLegacyMs = 0.0;
   double assignArenaMs = 0.0;
   double sharesScanFlatMs = -1.0;  ///< -1: not measured (see JSON null)
-  double sharesScanLegacyMs = -1.0;
 };
 
 struct UpwardsRow {
@@ -125,7 +122,7 @@ struct IlpRow {
 
 /// One row of part (d): the bare reduction under the worker-pool engine.
 struct ParallelRow {
-  int workers = 0;  ///< 0 = serial engine
+  int workers = 1;
   double ms = 0.0;
   double speedup = 0.0;
   long nodes = 0;
@@ -309,8 +306,8 @@ static int run(int argc, char** argv) {
     std::cout << "  expectation: time grows polynomially (~quadratic), no "
                  "blow-up\n\n";
 
-    // Placement hot loops at the largest size, old layout vs new (min over
-    // the same repeats; the google-benchmark twin is bench_micro_placement).
+    // Placement hot loops at the largest size (min over the same repeats;
+    // the google-benchmark twin is bench_micro_placement).
     if (!sizes.empty()) {
       const std::size_t si = sizes.size() - 1;
       const ProblemInstance& inst = instances[si];
@@ -326,12 +323,6 @@ static int run(int argc, char** argv) {
           flat.assign(c, tree.parent(c), inst.requests[static_cast<std::size_t>(c)] + 1);
         const double flatMs = millis(t0);
 
-        const auto t1 = std::chrono::steady_clock::now();
-        bench::LegacyPlacement legacy(tree.vertexCount());
-        for (const VertexId c : tree.clients())
-          legacy.assign(c, tree.parent(c), inst.requests[static_cast<std::size_t>(c)] + 1);
-        const double legacyMs = millis(t1);
-
         const auto t2 = std::chrono::steady_clock::now();
         Placement recycled = arena.acquire(tree.vertexCount());
         for (const VertexId c : tree.clients())
@@ -343,27 +334,15 @@ static int run(int argc, char** argv) {
         // -1: not measured (largest-size Multiple solve infeasible); the
         // JSON writes null so the trajectory shows a gap, not a 0 ms scan.
         double scanFlatMs = -1.0;
-        double scanLegacyMs = -1.0;
         if (multiple) {
-          bench::LegacyPlacement legacyCopy(tree.vertexCount());
-          for (const VertexId c : tree.clients())
-            for (const ServedShare& share : multiple->shares(c))
-              legacyCopy.assign(c, share.server, share.amount);
           Requests total = 0;
-          // Untimed warm-up of both layouts so neither scan rides the cache
-          // lines its construction just touched.
-          for (const VertexId c : tree.clients()) {
+          // Untimed warm-up so the scan does not ride cold cache lines.
+          for (const VertexId c : tree.clients())
             for (const ServedShare& share : multiple->shares(c)) total += share.amount;
-            for (const ServedShare& share : legacyCopy.shares(c)) total += share.amount;
-          }
           const auto t3 = std::chrono::steady_clock::now();
           for (const VertexId c : tree.clients())
             for (const ServedShare& share : multiple->shares(c)) total += share.amount;
           scanFlatMs = millis(t3);
-          const auto t4 = std::chrono::steady_clock::now();
-          for (const VertexId c : tree.clients())
-            for (const ServedShare& share : legacyCopy.shares(c)) total += share.amount;
-          scanLegacyMs = millis(t4);
           static volatile Requests sink;  // keep the scans observable
           sink = total;
           (void)sink;
@@ -373,17 +352,13 @@ static int run(int argc, char** argv) {
           slot = rep == 0 ? value : std::min(slot, value);
         };
         keepMin(micro.assignFlatMs, flatMs);
-        keepMin(micro.assignLegacyMs, legacyMs);
         keepMin(micro.assignArenaMs, arenaMs);
         keepMin(micro.sharesScanFlatMs, scanFlatMs);
-        keepMin(micro.sharesScanLegacyMs, scanLegacyMs);
       }
       std::cout << "  placement micro (s=" << micro.size << "): assign flat "
-                << formatDouble(micro.assignFlatMs, 4) << " ms, legacy "
-                << formatDouble(micro.assignLegacyMs, 4) << " ms, arena-recycled "
-                << formatDouble(micro.assignArenaMs, 4) << " ms; shares scan flat "
-                << formatDouble(micro.sharesScanFlatMs, 4) << " ms, legacy "
-                << formatDouble(micro.sharesScanLegacyMs, 4) << " ms\n\n";
+                << formatDouble(micro.assignFlatMs, 4) << " ms, arena-recycled "
+                << formatDouble(micro.assignArenaMs, 4) << " ms; shares scan "
+                << formatDouble(micro.sharesScanFlatMs, 4) << " ms\n\n";
     }
   }
   const std::size_t rssPolynomial = bench::peakRssBytes();
@@ -484,7 +459,7 @@ static int run(int argc, char** argv) {
   const std::size_t rssIlp = bench::peakRssBytes();
 
   std::cout << "(d) Worker-pool B&B — bare (cuts-off) Theorem 3 reduction at "
-               "m=" << reductionMax << ", serial vs workers\n";
+               "m=" << reductionMax << ", 1 vs 2 and 4 workers\n";
   const int parallelM = reductionMax;
   std::vector<ParallelRow> parallelRows;
   {
@@ -494,7 +469,7 @@ static int run(int argc, char** argv) {
     std::vector<Requests> values(static_cast<std::size_t>(parallelM - 1), 4);
     values.push_back(6);
     const ProblemInstance inst = fig8TwoPartition(values);
-    for (const int workers : {0, 2, 4}) {
+    for (const int workers : {1, 2, 4}) {
       ExactIlpOptions exactOptions;
       exactOptions.frontierCuts = false;
       exactOptions.symmetryCuts = false;
@@ -517,12 +492,12 @@ static int run(int argc, char** argv) {
       }
       parallelRows.push_back(row);
     }
-    const double serialMs = parallelRows.front().ms;
+    const double oneWorkerMs = parallelRows.front().ms;
     TextTable t;
     t.setHeader({"workers", "ms", "speedup", "B&B nodes", "steals", "idle (ms)"});
     for (ParallelRow& row : parallelRows) {
-      row.speedup = row.ms > 0.0 ? serialMs / row.ms : 0.0;
-      t.addRow({row.workers == 0 ? "serial" : std::to_string(row.workers),
+      row.speedup = row.ms > 0.0 ? oneWorkerMs / row.ms : 0.0;
+      t.addRow({std::to_string(row.workers),
                 formatDouble(row.ms, 2), formatDouble(row.speedup, 2),
                 std::to_string(row.nodes),
                 std::to_string(row.warm.stealCount),
@@ -530,15 +505,13 @@ static int run(int argc, char** argv) {
     }
     std::cout << t.render();
     for (const ParallelRow& row : parallelRows) {
-      std::cout << "  "
-                << (row.workers == 0 ? std::string("serial")
-                                     : std::to_string(row.workers) + " workers")
-                << ": " << renderWarmStartStats(row.warm) << '\n';
+      std::cout << "  " << row.workers << " workers: "
+                << renderWarmStartStats(row.warm) << '\n';
     }
     std::cout << "  expectation: near-linear speedup on multi-core hosts ("
               << std::thread::hardware_concurrency()
               << " hardware threads here); node counts stay within a few "
-                 "percent of serial, same proven optimum\n\n";
+                 "percent of one worker's, same proven optimum\n\n";
   }
   const std::size_t rssParallel = bench::peakRssBytes();
 
@@ -866,8 +839,8 @@ static int run(int argc, char** argv) {
             std::max(0.0, row.outcome.elapsedMs - row.deadlineMs);
         const std::string bracket =
             row.outcome.bracketed()
-                ? "[" + formatDouble(row.outcome.lowerBound, 0) + ", " +
-                      formatDouble(row.outcome.cost, 0) + "]"
+                ? std::string("[") + formatDouble(row.outcome.lowerBound, 0) +
+                      ", " + formatDouble(row.outcome.cost, 0) + "]"
                 : "-";
         t.addRow({std::to_string(s), std::string(toString(policy)),
                   formatDouble(row.scratchMs, 1),
@@ -1199,12 +1172,9 @@ static int run(int argc, char** argv) {
     json.key("micro_placement").beginObject();
     json.key("s").value(micro.size);
     json.key("assign_flat_ms").value(micro.assignFlatMs);
-    json.key("assign_legacy_ms").value(micro.assignLegacyMs);
     json.key("assign_arena_ms").value(micro.assignArenaMs);
     json.key("shares_scan_flat_ms");
     if (micro.sharesScanFlatMs < 0) json.null(); else json.value(micro.sharesScanFlatMs);
-    json.key("shares_scan_legacy_ms");
-    if (micro.sharesScanLegacyMs < 0) json.null(); else json.value(micro.sharesScanLegacyMs);
     json.endObject();
     json.key("upwards_reduction").beginArray();
     for (const UpwardsRow& row : upwardsRows) {

@@ -8,7 +8,8 @@
 //
 //   --threads    batch worker threads (0 = hardware concurrency)
 //   --lb-nodes   branch-and-bound budget of the refined lower bound
-//   --workers    per-instance worker-pool B&B threads for --exact (0 = serial)
+//   --workers    per-instance worker-pool B&B threads for --exact (0 and 1
+//                both run one worker on the calling thread)
 //   --exact      also prove the Multiple optimum via the ILP (small fleets!)
 //   --nodes      generate instances of this many vertices instead of reading
 //                files (O(s) generator, so s = 10^6 is fine)
@@ -90,8 +91,14 @@ std::string formatStream(const StreamCountResult& r) {
   if (r.stats.exact) return std::to_string(r.replicas);
   // Capped runs carry the certified bracket (2-D policies; telemetry-only
   // for QoS, see FrontierStreamStats::capGapBound).
-  return "[" + std::to_string(r.replicasFloor()) + ", " +
-         std::to_string(r.replicas) + "] (capped)";
+  // Appended piecewise: GCC 12 at -O3 flags the "[" + ... chain with a
+  // false -Wrestrict positive.
+  std::string out = "[";
+  out += std::to_string(r.replicasFloor());
+  out += ", ";
+  out += std::to_string(r.replicas);
+  out += "] (capped)";
+  return out;
 }
 
 std::string_view kindName(DeltaKind kind) {

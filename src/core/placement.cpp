@@ -271,12 +271,6 @@ PlacementStats Placement::stats() const {
   stats.assignCalls = assignCalls_;
   stats.heapAllocs = heapAllocs_;
   stats.holeSlots = pool_.size() - liveShares_;
-  std::size_t servedClients = 0;
-  for (const ShareRun& run : runs_)
-    if (run.size > 0) ++servedClients;
-  // One vector per served client on top of the old layout's three fixed
-  // buffers (the outer vector-of-vectors, serverLoad_, isReplica_).
-  stats.legacyHeapAllocs = servedClients + 3;
   return stats;
 }
 

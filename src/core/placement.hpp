@@ -28,10 +28,6 @@ struct PlacementStats {
   /// Pool slots not backing a live share (relocation holes + spare run
   /// capacity); 0 after compact().
   std::size_t holeSlots = 0;
-  /// What the retired vector-per-client layout would have allocated for the
-  /// same assignment (one vector per served client + its three fixed
-  /// buffers): the committed bench telemetry tracks heapAllocs against this.
-  std::size_t legacyHeapAllocs = 0;
 };
 
 /// A replica placement plus the explicit request assignment. Heuristics and

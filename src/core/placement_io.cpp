@@ -1,9 +1,12 @@
 #include "core/placement_io.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "support/parse.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -12,6 +15,14 @@ namespace {
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
   throw PlacementParseError("placement parse error at line " + std::to_string(line) +
                             ": " + message);
+}
+
+/// Whole-token integer in [lo, hi]; anything else is a parse error naming
+/// `what`.
+std::int64_t intToken(const std::string& token, std::int64_t lo, std::int64_t hi,
+                      std::size_t line, const std::string& what) {
+  return parseIntInRange(token, lo, hi, what,
+                         [line](const std::string& message) { fail(line, message); });
 }
 
 }  // namespace
@@ -58,44 +69,44 @@ Placement readPlacement(std::istream& in) {
     fail(lineNo, "missing 'treeplace-placement v1' header");
   if (!nextTokens(tokens) || tokens.size() != 2 || tokens[0] != "vertices")
     fail(lineNo, "missing 'vertices <count>' line");
-  std::size_t count = 0;
-  try {
-    count = std::stoul(tokens[1]);
-  } catch (const std::exception&) {
-    fail(lineNo, "bad vertex count");
-  }
-  if (count == 0) fail(lineNo, "vertex count must be positive");
-
-  Placement placement(count);
-  auto checkedId = [&](const std::string& token) {
-    long long value = -1;
-    try {
-      value = std::stoll(token);
-    } catch (const std::exception&) {
-      fail(lineNo, "bad vertex id '" + token + "'");
-    }
-    if (value < 0 || value >= static_cast<long long>(count))
-      fail(lineNo, "vertex id out of range: " + token);
-    return static_cast<VertexId>(value);
+  const auto count = static_cast<std::size_t>(intToken(
+      tokens[1], 1, std::numeric_limits<VertexId>::max(), lineNo, "vertex count"));
+  const auto maxId = static_cast<std::int64_t>(count) - 1;
+  const auto id = [&](const std::string& token) {
+    return static_cast<VertexId>(intToken(token, 0, maxId, lineNo, "vertex id"));
   };
 
+  // The whole body is parsed before the count-sized Placement is built, so
+  // malformed input fails without allocating for its header.
+  struct Assignment {
+    std::size_t line;
+    VertexId client;
+    VertexId server;
+    Requests amount;
+  };
+  std::vector<VertexId> replicas;
+  std::vector<Assignment> assignments;
   while (nextTokens(tokens)) {
     if (tokens[0] == "replica" && tokens.size() == 2) {
-      placement.addReplica(checkedId(tokens[1]));
+      replicas.push_back(id(tokens[1]));
     } else if (tokens[0] == "assign" && tokens.size() == 4) {
-      const VertexId client = checkedId(tokens[1]);
-      const VertexId server = checkedId(tokens[2]);
-      long long amount = 0;
-      try {
-        amount = std::stoll(tokens[3]);
-      } catch (const std::exception&) {
-        fail(lineNo, "bad amount");
-      }
-      if (amount <= 0) fail(lineNo, "amount must be positive");
-      placement.assign(client, server, amount);
+      const VertexId client = id(tokens[1]);
+      const VertexId server = id(tokens[2]);
+      const Requests amount = intToken(tokens[3], 1, std::numeric_limits<Requests>::max(),
+                                       lineNo, "amount");
+      assignments.push_back({lineNo, client, server, amount});
     } else {
       fail(lineNo, "expected 'replica <node>' or 'assign <c> <s> <amount>'");
     }
+  }
+  Placement placement(count);
+  for (const VertexId r : replicas) placement.addReplica(r);
+  for (const Assignment& a : assignments) {
+    // A server's load sums every amount assigned to it (and bounds each
+    // client's merged share): it must stay inside Requests.
+    if (a.amount > std::numeric_limits<Requests>::max() - placement.serverLoad(a.server))
+      fail(a.line, "load on server " + std::to_string(a.server) + " overflows");
+    placement.assign(a.client, a.server, a.amount);
   }
   return placement;
 }

@@ -71,13 +71,13 @@ class JsonWriter;  // support/json.hpp
 void writeFrontierStats(JsonWriter& json, const FrontierStats& stats);
 
 /// One-line human rendering of a placement's storage telemetry
-/// (core/placement.hpp): pool footprint, share/assign counts, and the
-/// heap-allocation comparison against the retired vector-per-client layout.
+/// (core/placement.hpp): pool footprint, share/assign counts, and heap
+/// allocations.
 std::string renderPlacementStats(const PlacementStats& stats);
 
 /// Emit the telemetry as a JSON object {"pool_bytes":..,"shares":..,
-/// "assign_calls":..,"heap_allocs":..,"legacy_heap_allocs":..} into an open
-/// writer position, so benches can track the allocation win across PRs.
+/// "assign_calls":..,"heap_allocs":..,"hole_slots":..} into an open writer
+/// position, so benches can track allocations across changes.
 void writePlacementStats(JsonWriter& json, const PlacementStats& stats);
 
 /// One-line human rendering of a warm-started solve sequence's telemetry

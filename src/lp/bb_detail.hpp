@@ -1,9 +1,9 @@
 #pragma once
 
-// Internals shared by the serial (lp/branch_bound.cpp) and worker-pool
-// (lp/branch_bound_parallel.cpp) branch-and-bound engines. Everything here is
-// an implementation detail: the public surface stays solveMip() in
-// lp/branch_bound.hpp.
+// Internals shared by the two branch-and-bound engines: the warm worker pool
+// (lp/branch_bound_parallel.cpp), which runs every warm solve, and the cold
+// oracle (lp/branch_bound.cpp). Everything here is an implementation detail:
+// the public surface stays solveMip() in lp/branch_bound.hpp.
 
 #include <algorithm>
 #include <chrono>
@@ -64,14 +64,13 @@ struct BbNode {
   double bound = -kInfinity;
 };
 
-/// Best-bound open pool. With a known objective granularity every node bound
-/// is a multiple of it, so nodes bucket exactly by (bound - base) /
-/// granularity: pop scans a monotone cursor (child bounds never drop below
-/// their parent's), push is O(1), and ties pop LIFO — a dive order that
-/// keeps consecutive warm re-solves close in the tree. Without granularity a
-/// binary min-heap provides the same best-bound order. Entries carry their
-/// bound so a pool can be drained without touching node storage (the
-/// parallel engine's shards share this type).
+/// Best-bound open pool (one per worker shard). With a known objective
+/// granularity every node bound is a multiple of it, so nodes bucket exactly
+/// by (bound - base) / granularity: pop scans a monotone cursor (child bounds
+/// never drop below their parent's), push is O(1), and ties pop LIFO — a dive
+/// order that keeps consecutive warm re-solves close in the tree. Without
+/// granularity a binary min-heap provides the same best-bound order. Entries
+/// carry their bound so a pool can be drained without touching node storage.
 class NodePool {
  public:
   explicit NodePool(double granularity) : granularity_(granularity) {}
@@ -89,9 +88,9 @@ class NodePool {
       }
       long index = std::lround((bound - base_) / granularity_);
       if (index < 0) {
-        // Serial best-bound search pushes monotonically (children never
-        // improve on their parent's bound), so the first-seen base is also
-        // the smallest. A sharded pool is different: a worker that STOLE a
+        // A single worker pushes monotonically (children never improve on
+        // their parent's bound), so the first-seen base is also the
+        // smallest. Several workers are different: a worker that STOLE a
         // low-bound node from another shard pushes that node's children into
         // its own shard, which may sit below everything seen here. Re-base
         // by prepending empty buckets (rare, steal-only) so the order stays
@@ -172,11 +171,19 @@ inline double millisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Worker-pool engine (lp/branch_bound_parallel.cpp): options.workers threads
-/// each own a clone of the root LpWorkspace and claim best-bound nodes from a
-/// sharded pool. Requires a warm-eligible model (every integer variable
-/// non-free). With workers == 1 the search is bit-identical to the serial
-/// warm engine — the determinism tests pin this down.
+/// Install options.initialIncumbent (a caller-guaranteed feasible point) as
+/// the starting incumbent when it beats `objective` (the plain
+/// initialUpperBound): its objective prunes from node one, and the point
+/// itself is returned when the search finds nothing strictly better.
+void seedIncumbent(const Model& model, const MipOptions& options,
+                   const std::vector<int>& integers, double& objective,
+                   std::vector<double>& values);
+
+/// Warm engine (lp/branch_bound_parallel.cpp), the only one behind
+/// warmStart: max(1, options.workers) workers claim best-bound nodes from a
+/// sharded pool; worker 0 owns the caller's workspace (or a fresh parse) and
+/// the others clone it. One worker runs inline on the calling thread. Requires
+/// a warm-eligible model (every integer variable non-free).
 MipResult solveMipParallel(const Model& model, const MipOptions& options,
                            const std::vector<int>& integers);
 

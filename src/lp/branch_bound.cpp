@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <queue>
 
 #include "lp/bb_detail.hpp"
@@ -11,200 +10,32 @@
 #include "support/require.hpp"
 
 namespace treeplace::lp {
-namespace {
 
-using detail::BbNode;
-using detail::millisSince;
-using detail::NodePool;
-using detail::pickBranchVariable;
-using detail::roundBound;
-
-/// Install options.initialIncumbent (a caller-guaranteed feasible point) as
-/// the starting incumbent when it beats the plain initialUpperBound: its
-/// objective prunes from node one, and the point itself is returned when the
-/// search finds nothing strictly better.
-void seedIncumbent(const Model& model, const MipOptions& options,
-                   const std::vector<int>& integers, MipResult& result) {
+void detail::seedIncumbent(const Model& model, const MipOptions& options,
+                           const std::vector<int>& integers, double& objective,
+                           std::vector<double>& values) {
   if (options.initialIncumbent.empty()) return;
   TREEPLACE_REQUIRE(
       static_cast<int>(options.initialIncumbent.size()) == model.variableCount(),
       "initialIncumbent size must match the model's variable count");
-  const double objective = model.evaluateObjective(options.initialIncumbent);
-  if (objective >= result.objective) return;
-  result.objective = objective;
-  result.values = options.initialIncumbent;
+  const double seeded = model.evaluateObjective(options.initialIncumbent);
+  if (seeded >= objective) return;
+  objective = seeded;
+  values = options.initialIncumbent;
   for (const int j : integers)
-    result.values[static_cast<std::size_t>(j)] =
-        std::round(result.values[static_cast<std::size_t>(j)]);
+    values[static_cast<std::size_t>(j)] = std::round(values[static_cast<std::size_t>(j)]);
 }
 
-/// Warm-started engine: one persistent LpWorkspace, dual-simplex re-solves,
-/// delta-chain nodes, best-bound pool.
-MipResult solveMipWarm(const Model& model, const MipOptions& options,
-                       const std::vector<int>& integers) {
-  MipResult result;
-  result.objective = options.initialUpperBound;
-  seedIncumbent(model, options, integers, result);
+namespace {
 
-  // Caller-owned workspaces persist across solveMip calls: re-align the boxes
-  // and rhs with the (possibly patched) model, keep the final basis of the
-  // previous run — the root LP then re-solves with the dual simplex instead
-  // of a cold two-phase build.
-  std::optional<LpWorkspace> owned;
-  if (options.workspace != nullptr) {
-    options.workspace->syncFromModel(model);
-    options.workspace->resetStats();
-  } else {
-    owned.emplace(model, options.lp);
-  }
-  LpWorkspace& workspace = options.workspace != nullptr ? *options.workspace : *owned;
+using detail::millisSince;
+using detail::pickBranchVariable;
+using detail::roundBound;
 
-  std::vector<BbNode> nodes;
-  nodes.push_back({});  // root: no delta
-
-  NodePool open(options.objectiveGranularity);
-  open.push(0, -kInfinity);
-
-  // Bound reconstruction scratch: walk the delta chain deepest-first; the
-  // epoch stamp keeps only the deepest (tightest) delta per variable.
-  std::vector<unsigned> stamp(static_cast<std::size_t>(model.variableCount()), 0);
-  std::vector<int> touched;
-  unsigned epoch = 0;
-  const auto applyNodeBounds = [&](long id) {
-    for (const int v : touched) workspace.setBounds(v, model.lower(v), model.upper(v));
-    touched.clear();
-    ++epoch;
-    for (long cur = id; cur >= 0; cur = nodes[static_cast<std::size_t>(cur)].parent) {
-      const BbNode& node = nodes[static_cast<std::size_t>(cur)];
-      if (node.branchVar < 0) continue;
-      auto& mark = stamp[static_cast<std::size_t>(node.branchVar)];
-      if (mark == epoch) continue;
-      mark = epoch;
-      workspace.setBounds(node.branchVar, node.lower, node.upper);
-      touched.push_back(node.branchVar);
-    }
-  };
-
-  double minClosedBound = kInfinity;  // min final bound over closed leaves
-  bool sawIterationLimit = false;
-  bool hitNodeLimit = false;
-  const double cutoffGap = options.absoluteGap;
-
-  while (!open.empty()) {
-    if (result.nodesExplored >= options.maxNodes) {
-      // Open nodes remain: the budget genuinely truncated the search. A pool
-      // that empties exactly at the budget is a completed (provable) search.
-      hitNodeLimit = true;
-      break;
-    }
-    if (options.guard != nullptr &&
-        options.guard->tick() != BudgetVerdict::Ok) {
-      // Shared budget tripped: stop like the node cap — incumbent and global
-      // dual bound stay valid, the result just loses its optimality proof.
-      hitNodeLimit = true;
-      result.stopReason = options.guard->verdict();
-      break;
-    }
-    const long id = open.pop().second;
-    const double inheritedBound = nodes[static_cast<std::size_t>(id)].bound;
-    ++result.nodesExplored;
-
-    if (std::max(inheritedBound, options.knownLowerBound) >=
-        result.objective - cutoffGap) {
-      // Best-bound order: every remaining node is at least as bad.
-      minClosedBound = std::min(minClosedBound, inheritedBound);
-      minClosedBound = std::min(minClosedBound, open.drainMinBound());
-      break;
-    }
-
-    applyNodeBounds(id);
-    const auto t0 = std::chrono::steady_clock::now();
-    const SolveStatus status = workspace.solve();
-    result.lpMillis += millisSince(t0);
-
-    if (status == SolveStatus::Infeasible) continue;  // closed: no solutions
-    if (status == SolveStatus::Unbounded) {
-      result.status = SolveStatus::Unbounded;
-      result.lowerBound = -kInfinity;
-      result.warm = workspace.stats();
-      return result;
-    }
-    if (status == SolveStatus::IterationLimit) {
-      // Numerical bail-out: the subtree keeps only its inherited bound.
-      sawIterationLimit = true;
-      minClosedBound = std::min(minClosedBound, inheritedBound);
-      continue;
-    }
-
-    const double lpBound = roundBound(workspace.objective(), options.objectiveGranularity);
-    const double nodeBound = std::max(inheritedBound, lpBound);
-    if (std::max(nodeBound, options.knownLowerBound) >= result.objective - cutoffGap) {
-      minClosedBound = std::min(minClosedBound, nodeBound);
-      continue;
-    }
-
-    const std::span<const double> values = workspace.values();
-    const int branchVar = pickBranchVariable(values, integers, options.branchPriority,
-                                             options.integralityTol);
-
-    if (branchVar < 0) {
-      // Integral: new incumbent.
-      if (workspace.objective() < result.objective - cutoffGap) {
-        result.objective = workspace.objective();
-        result.values.assign(values.begin(), values.end());
-        // Round integer values exactly for downstream decoding.
-        for (const int j : integers)
-          result.values[static_cast<std::size_t>(j)] =
-              std::round(result.values[static_cast<std::size_t>(j)]);
-      }
-      minClosedBound = std::min(minClosedBound, workspace.objective());
-      continue;
-    }
-
-    const double value = values[static_cast<std::size_t>(branchVar)];
-    const double curLo = workspace.currentLower(branchVar);
-    const double curHi = workspace.currentUpper(branchVar);
-    const double downHi = std::floor(value);
-    const double upLo = std::ceil(value);
-    if (curLo <= downHi) {
-      nodes.push_back({id, branchVar, curLo, downHi, nodeBound});
-      open.push(static_cast<long>(nodes.size()) - 1, nodeBound);
-    }
-    if (upLo <= curHi) {
-      nodes.push_back({id, branchVar, upLo, curHi, nodeBound});
-      open.push(static_cast<long>(nodes.size()) - 1, nodeBound);
-    }
-  }
-
-  result.warm = workspace.stats();
-
-  // Global dual bound: open nodes still count.
-  double bound = std::min(minClosedBound, open.drainMinBound());
-  if (bound == kInfinity) {
-    // Every leaf was infeasible and no incumbent exists: the MIP is
-    // infeasible — unless an external upper bound was supplied, in which case
-    // that solution (not visible to us) is optimal.
-    if (result.objective == kInfinity) {
-      result.status = SolveStatus::Infeasible;
-      result.proven = !sawIterationLimit;
-      result.lowerBound = kInfinity;
-      return result;
-    }
-    bound = result.objective;
-  }
-  bound = std::max(bound, options.knownLowerBound);
-  result.lowerBound = std::min(bound, result.objective);
-  result.proven = !hitNodeLimit && !sawIterationLimit &&
-                  result.lowerBound >= result.objective - cutoffGap * 2;
-  result.status = SolveStatus::Optimal;
-  return result;
-}
-
-/// Cold oracle engine: the pre-warm-start implementation — every node LP is
-/// built and solved from scratch on a model copy. Kept both as the fallback
-/// for models whose free integer variables the workspace's fixed standard
-/// form cannot absorb and as the independent reference the warm-vs-cold
-/// equivalence tests compare against.
+/// Cold oracle engine: every node LP is built and solved from scratch on a
+/// model copy. Kept both as the fallback for models whose free integer
+/// variables the workspace's fixed standard form cannot absorb and as the
+/// independent reference the warm-vs-cold equivalence tests compare against.
 MipResult solveMipCold(const Model& model, const MipOptions& options,
                        const std::vector<int>& integers) {
   struct Node {
@@ -219,7 +50,7 @@ MipResult solveMipCold(const Model& model, const MipOptions& options,
 
   MipResult result;
   result.objective = options.initialUpperBound;
-  seedIncumbent(model, options, integers, result);
+  detail::seedIncumbent(model, options, integers, result.objective, result.values);
 
   Model working = model;
 
@@ -252,12 +83,15 @@ MipResult solveMipCold(const Model& model, const MipOptions& options,
 
   while (!open.empty()) {
     if (result.nodesExplored >= options.maxNodes) {
-      // See solveMipWarm: only a truncation with open nodes left is unproven.
+      // Open nodes remain: the budget genuinely truncated the search. A pool
+      // that empties exactly at the budget is a completed (provable) search.
       hitNodeLimit = true;
       break;
     }
     if (options.guard != nullptr &&
         options.guard->tick() != BudgetVerdict::Ok) {
+      // Shared budget tripped: stop like the node cap — incumbent and global
+      // dual bound stay valid, the result just loses its optimality proof.
       hitNodeLimit = true;
       result.stopReason = options.guard->verdict();
       break;
@@ -366,7 +200,7 @@ MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
     options.lp.guard = options.guard;
 
   const std::vector<int> integers = model.integerVariables();
-  bool warmEligible = options.warmStart || options.workers >= 1;
+  bool warmEligible = options.warmStart;
   for (const int j : integers) {
     // The workspace's column mapping is fixed by the root bounds. With
     // bounded-variable columns any non-free integer absorbs both branch
@@ -379,9 +213,7 @@ MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
     if (options.lp.explicitBoundRows ? !fullRange : freeVar)
       warmEligible = false;  // branching would change the standard-form shape
   }
-  if (warmEligible && options.workers >= 1)
-    return detail::solveMipParallel(model, options, integers);
-  return warmEligible ? solveMipWarm(model, options, integers)
+  return warmEligible ? detail::solveMipParallel(model, options, integers)
                       : solveMipCold(model, options, integers);
 }
 

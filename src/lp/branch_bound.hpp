@@ -22,10 +22,13 @@ struct MipOptions {
   /// relaxation). Folded into every node bound: the search stops as soon as
   /// the incumbent meets it. -infinity disables it.
   double knownLowerBound = -kInfinity;
-  /// Re-solve node LPs with the dual simplex from the previous optimal basis
-  /// inside one persistent LpWorkspace (no per-node model copies). Off runs
-  /// every node LP cold from scratch — the oracle the equivalence tests
-  /// compare against.
+  /// Run the warm worker-pool engine: node LPs re-solve with the dual
+  /// simplex from the previous optimal basis inside per-worker persistent
+  /// LpWorkspaces (no per-node model copies). Off runs the cold oracle, which
+  /// builds and solves every node LP from scratch — the independent reference
+  /// the equivalence tests compare against; `workers` and `workspace` are
+  /// then ignored. A model with a free integer variable (under
+  /// explicitBoundRows: one without a finite range) always runs cold.
   bool warmStart = true;
   /// Optional per-variable branching priority (size = variableCount, higher
   /// branches first): among fractional integer variables the highest
@@ -44,24 +47,24 @@ struct MipOptions {
   /// SAME standard form (bounds/rhs may differ; the matrix may not). The
   /// engine re-syncs boxes and rhs from the model at entry and then re-solves
   /// the root LP with the dual simplex from the previous run's final basis —
-  /// the cross-solve analogue of the per-node warm start. Only honoured by
-  /// the serial warm engine (workers == 0, warm-eligible model); other paths
-  /// ignore it. The workspace must have been built from this model (or one
-  /// sharing its standard form) with the same SimplexOptions.
+  /// the cross-solve analogue of the per-node warm start. It becomes worker
+  /// 0's workspace, which always solves the root; further workers clone it
+  /// after the re-sync. Ignored when the cold oracle runs. The workspace must
+  /// have been built from this model (or one sharing its standard form) with
+  /// the same SimplexOptions.
   LpWorkspace* workspace = nullptr;
-  /// Branch-and-bound worker threads. 0 (default) runs the single-threaded
-  /// engines exactly as before. N >= 1 runs the worker-pool engine: N
-  /// threads, each owning its own arena-backed LpWorkspace cloned from the
-  /// root standard form, claim best-bound nodes from a sharded pool (one
+  /// Branch-and-bound worker threads of the warm engine. 0 and 1 both run
+  /// one worker inline on the calling thread: a deterministic best-bound
+  /// search (tests/test_parallel_bb.cpp pins its node counts, solve mix and
+  /// budget use). N >= 2 runs N threads, each owning its own arena-backed
+  /// LpWorkspace, that claim best-bound nodes from a sharded pool (one
   /// granularity-bucketed shard per worker, work stealing when a shard runs
   /// dry), share the incumbent through an atomic objective, and detect
-  /// termination with an epoch-counted outstanding-node protocol.
-  /// workers == 1 reproduces the serial warm search bit-for-bit (same pop
-  /// order, same node count) — the determinism tests pin this down. The
-  /// pool engine needs a warm-eligible model (every integer variable
-  /// non-free); otherwise the serial fallback selected by `warmStart` runs.
+  /// termination with an epoch-counted outstanding-node protocol; node
+  /// counts then vary from run to run, the proven optimum does not.
   int workers = 0;
-  /// Optional shared budget: every node pop ticks it (and, unless
+  /// Optional shared budget: every node pop ticks it, after the maxNodes
+  /// check and only when a node is available (and, unless
   /// options.lp.guard is already set, node LP pivots tick the same guard).
   /// On a trip the search stops exactly like the node budget — the incumbent
   /// and the global dual bound stay valid, proven turns false, and

@@ -1,8 +1,10 @@
-// Worker-pool branch-and-bound engine (MipOptions::workers >= 1).
+// Worker-pool branch-and-bound engine: every warm solveMip runs here, with
+// max(1, MipOptions::workers) workers.
 //
 // Threading model, in one breath: N workers each own a private LpWorkspace
-// cloned from the root standard form (bound changes stay pure box updates,
-// so per-worker memory is tableau-height-bounded); open nodes live in N
+// (worker 0 the caller's persistent one or a fresh parse, the others clones
+// of it; bound changes stay pure box updates, so per-worker memory is
+// tableau-height-bounded); open nodes live in N
 // granularity-bucketed shards (one per worker, each a mutex-guarded
 // NodePool); workers pop best-bound from their own shard, steal from a
 // foreign shard when theirs runs dry, and push children to their own shard;
@@ -18,15 +20,16 @@
 // chunk-ready acquire/release edge), which carries the happens-before chain
 // from its writer.
 //
-// With workers == 1 the engine reproduces the serial warm engine's search
-// bit for bit — same pop order, same node count, same solve sequence — which
-// is what tests/test_parallel_bb.cpp pins down.
+// One worker runs inline on the calling thread: a strict best-bound search
+// whose node counts, solve mix, pivot counts, bounds and budget use
+// tests/test_parallel_bb.cpp pins down.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -105,6 +108,7 @@ struct SharedState {
   std::atomic<long> outstanding{0};   ///< nodes in shards + nodes being expanded
   std::atomic<unsigned long> pushEpoch{0};
   std::atomic<bool> budgetExhausted{false};
+  std::atomic<bool> guardTripped{false};  ///< options.guard stopped a node pop
   std::atomic<bool> abortUnbounded{false};
   std::atomic<bool> sawIterationLimit{false};
 
@@ -118,15 +122,17 @@ struct SharedState {
     shards.reserve(static_cast<std::size_t>(workerCount));
     for (int s = 0; s < workerCount; ++s)
       shards.push_back(std::make_unique<Shard>(o.objectiveGranularity));
-    incumbentObj.store(o.initialUpperBound);
+    double objective = o.initialUpperBound;
+    seedIncumbent(m, o, ints, objective, incumbentValues);
+    incumbentObj.store(objective);
   }
 };
 
-/// Per-worker mutable state: the cloned workspace, the delta-chain
+/// Per-worker mutable state: the worker's workspace, the delta-chain
 /// reconstruction scratch, and the locally accumulated result pieces that
 /// the main thread merges after the join.
 struct WorkerState {
-  LpWorkspace workspace;
+  LpWorkspace& workspace;
   std::vector<unsigned> stamp;
   std::vector<int> touched;
   unsigned epoch = 0;
@@ -135,9 +141,8 @@ struct WorkerState {
   long steals = 0;
   double idleMs = 0.0;
 
-  explicit WorkerState(const LpWorkspace& prototype, int variableCount)
-      : workspace(prototype.clone()),
-        stamp(static_cast<std::size_t>(variableCount), 0) {}
+  WorkerState(LpWorkspace& own, int variableCount)
+      : workspace(own), stamp(static_cast<std::size_t>(variableCount), 0) {}
 };
 
 struct Claim {
@@ -147,11 +152,16 @@ struct Claim {
 };
 
 /// Pop one node, own shard first, then foreign shards in round-robin order.
-/// The budget slot is reserved (CAS) before popping, under the shard mutex,
-/// so the serial rule "the budget is only charged when a node is available"
-/// carries over exactly. Returns false via `stop` when the budget is spent.
+/// The node-budget slot is reserved (CAS) and options.guard ticked before
+/// popping, under the shard mutex, so both budgets are only charged when a
+/// node is available, after the maxNodes check. Returns false via `stop`
+/// when either budget is spent; the node then stays in its shard.
 bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
               long& steals) {
+  // The root is worker 0's: its workspace is the caller's persistent one,
+  // whose basis from the previous solve warm-starts the root LP and keeps
+  // the root's basis for the next solve. The others wait for its children.
+  if (self != 0 && shared.explored.load() == 0) return false;
   const int shardCount = static_cast<int>(shared.shards.size());
   for (int k = 0; k < shardCount; ++k) {
     const int s = (self + k) % shardCount;
@@ -168,6 +178,16 @@ bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
     }
     if (!reserved) {
       // Open nodes remain but the budget is gone: the search is truncated.
+      shared.budgetExhausted.store(true);
+      stop = true;
+      return false;
+    }
+    if (shared.options.guard != nullptr &&
+        shared.options.guard->tick() != BudgetVerdict::Ok) {
+      // Shared budget tripped: stop like the node cap — incumbent and global
+      // dual bound stay valid, the result just loses its optimality proof.
+      shared.explored.fetch_sub(1);
+      shared.guardTripped.store(true);
       shared.budgetExhausted.store(true);
       stop = true;
       return false;
@@ -204,14 +224,6 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
 
   for (;;) {
     if (shared.abortUnbounded.load()) return;
-    if (options.guard != nullptr &&
-        options.guard->tick() != BudgetVerdict::Ok) {
-      // Shared budget tripped: flag the truncation (keeps `proven` false and
-      // wakes parked peers) and bail. The claimed-nodes accounting is intact —
-      // this worker holds no claim here.
-      shared.budgetExhausted.store(true);
-      return;
-    }
 
     // Epoch before the scan: a push that lands after this read bumps the
     // epoch, so a failed scan followed by an epoch-equality park cannot miss
@@ -220,7 +232,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
     Claim claim;
     bool stop = false;
     if (!tryClaim(shared, self, claim, stop, worker.steals)) {
-      if (stop) return;  // node budget spent
+      if (stop) return;  // node budget or guard spent
       // Nothing claimable: park until the topology changes. Spin briefly
       // (a push usually lands within a node solve, ~µs), then back off to
       // bounded sleeps so an oversubscribed or end-of-search worker stops
@@ -254,7 +266,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       if (claim.shard == self) {
         // Own shard: only this worker pushes here, and shard pops are
         // best-bound, so every remaining entry is at least as bad — drain it
-        // wholesale, exactly like the serial engine's early break. (A stolen
+        // wholesale, like a single best-bound search's early break. (A stolen
         // shard may receive concurrent pushes below this bound from its
         // owner, so only the single node is pruned there.)
         long drained = 0;
@@ -397,18 +409,28 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
     shard0.pool.push(rootId, -kInfinity);
   }
 
-  // One prototype parse of the model; every worker clones it (memcpy of the
-  // fixed standard form) and starts cold, exactly like the serial engine's
-  // first node.
-  const LpWorkspace prototype(model, options.lp);
+  // Worker 0 runs on the caller's persistent workspace, re-synced with the
+  // (possibly patched) model: the final basis of the previous run then
+  // warm-starts the root LP. Without one it parses the model afresh. The
+  // other workers clone worker 0's (a memcpy of the standard form and basis).
+  std::optional<LpWorkspace> owned;
+  if (options.workspace != nullptr) {
+    options.workspace->syncFromModel(model);
+    options.workspace->resetStats();
+  } else {
+    owned.emplace(model, options.lp);
+  }
+  LpWorkspace& first = options.workspace != nullptr ? *options.workspace : *owned;
+  std::vector<LpWorkspace> clones;
+  clones.reserve(static_cast<std::size_t>(workerCount - 1));
+  for (int w = 1; w < workerCount; ++w) clones.push_back(first.clone());
   std::vector<WorkerState> workers;
   workers.reserve(static_cast<std::size_t>(workerCount));
-  for (int w = 0; w < workerCount; ++w)
-    workers.emplace_back(prototype, model.variableCount());
+  workers.emplace_back(first, model.variableCount());
+  for (LpWorkspace& clone : clones) workers.emplace_back(clone, model.variableCount());
 
   if (workerCount == 1) {
-    // Inline on the calling thread: zero spawn cost, and the determinism
-    // harness compares this path bit-for-bit against the serial engine.
+    // Inline on the calling thread: zero spawn cost, fully deterministic.
     workerLoop(shared, workers[0], 0);
   } else {
     std::vector<std::thread> threads;
@@ -428,16 +450,14 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
     result.lpMillis += w.lpMillis;
   }
   result.warm.workers = workerCount;
+  result.objective = shared.incumbentObj.load();
+  result.values = std::move(shared.incumbentValues);
 
   if (shared.abortUnbounded.load()) {
     result.status = SolveStatus::Unbounded;
-    result.objective = options.initialUpperBound;
     result.lowerBound = -kInfinity;
     return result;
   }
-
-  result.objective = shared.incumbentObj.load();
-  result.values = std::move(shared.incumbentValues);
 
   double minClosedBound = kInfinity;
   for (const WorkerState& w : workers)
@@ -448,11 +468,9 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
     remaining += static_cast<long>(shard->pool.size());
     openMin = std::min(openMin, shard->pool.drainMinBound());
   }
-  const bool budgetStop =
-      options.guard != nullptr && options.guard->exceeded();
-  if (budgetStop) result.stopReason = options.guard->verdict();
-  const bool hitNodeLimit =
-      (shared.budgetExhausted.load() && remaining > 0) || budgetStop;
+  if (shared.guardTripped.load()) result.stopReason = options.guard->verdict();
+  // A tripped guard leaves its node in the shard, so remaining > 0 then too.
+  const bool hitNodeLimit = shared.budgetExhausted.load() && remaining > 0;
   const bool sawIterationLimit = shared.sawIterationLimit.load();
 
   double bound = std::min(minClosedBound, openMin);
@@ -461,7 +479,6 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
       result.status = SolveStatus::Infeasible;
       result.proven = !sawIterationLimit;
       result.lowerBound = kInfinity;
-      result.values.clear();
       return result;
     }
     bound = result.objective;

@@ -26,9 +26,9 @@ struct WarmStartStats {
   long basisNnz = 0;          ///< peak L+U fill of the factorized basis
   int tableauRows = 0;        ///< tableau height m
   int structuralRows = 0;     ///< model constraint rows inside m
-  // Worker-pool telemetry (filled by the parallel branch-and-bound engine;
-  // zero on the single-threaded paths).
-  int workers = 0;            ///< pool threads used (0 = serial engine)
+  // Worker-pool telemetry (filled by the warm branch-and-bound engine;
+  // zero on the cold oracle and on bare LP solves).
+  int workers = 0;            ///< B&B workers used (0 = not the warm engine)
   long stealCount = 0;        ///< nodes claimed from a foreign shard
   double idleMs = 0.0;        ///< summed worker wall time spent waiting for work
 

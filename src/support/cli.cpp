@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
+#include "support/parse.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -80,26 +78,20 @@ std::vector<std::int64_t> Options::getIntListOr(
 
 std::int64_t Options::parseInt(const std::string& name, const std::string& text) {
   std::int64_t value = 0;
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec == std::errc::result_out_of_range)
+  const NumberError error = parseWholeInt(text, value);
+  if (error == NumberError::OutOfRange)
     throw OptionError("option --" + name + "=" + text + ": integer out of range");
-  if (ec != std::errc{} || ptr != last || text.empty())
+  if (error != NumberError::None)
     throw OptionError("option --" + name + "=" + text + ": not a valid integer");
   return value;
 }
 
 double Options::parseDouble(const std::string& name, const std::string& text) {
-  // strtod, not from_chars<double>: libstdc++ shipped the latter late enough
-  // that some supported toolchains lack it. End-pointer + errno give the same
-  // full-consumption and range guarantees.
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size())
+  double value = 0.0;
+  const NumberError error = parseWholeDouble(text, value);
+  if (error == NumberError::Invalid)
     throw OptionError("option --" + name + "=" + text + ": not a valid number");
-  if (errno == ERANGE || !std::isfinite(value))
+  if (error != NumberError::None)
     throw OptionError("option --" + name + "=" + text + ": number out of range");
   return value;
 }

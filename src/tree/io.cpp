@@ -1,12 +1,14 @@
 #include "tree/io.hpp"
 
-#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "support/parse.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
@@ -26,6 +28,14 @@ std::vector<std::string> tokenize(const std::string& line) {
     tokens.push_back(token);
   }
   return tokens;
+}
+
+/// Whole-token integer in [lo, hi]; anything else is a parse error naming
+/// `what`.
+std::int64_t intToken(const std::string& token, std::int64_t lo, std::int64_t hi,
+                      std::size_t line, const std::string& what) {
+  return parseIntInRange(token, lo, hi, what,
+                         [line](const std::string& message) { fail(line, message); });
 }
 
 /// Splits "key=value" tokens into a map; bare tokens are rejected.
@@ -92,80 +102,94 @@ ProblemInstance readInstance(std::istream& in) {
     fail(lineNo, "missing 'treeplace-instance v1' header");
   if (!nextTokens(tokens) || tokens.size() != 2 || tokens[0] != "vertices")
     fail(lineNo, "missing 'vertices <count>' line");
-  std::size_t count = 0;
-  try {
-    count = std::stoul(tokens[1]);
-  } catch (const std::exception&) {
-    fail(lineNo, "bad vertex count '" + tokens[1] + "'");
-  }
-  if (count == 0) fail(lineNo, "vertex count must be positive");
+  const auto count = static_cast<std::size_t>(intToken(
+      tokens[1], 1, std::numeric_limits<VertexId>::max(), lineNo, "vertex count"));
+  const auto maxId = static_cast<std::int64_t>(count) - 1;
 
-  ProblemInstance instance;
-  std::vector<VertexId> parents(count, kNoVertex);
-  std::vector<VertexKind> kinds(count, VertexKind::Internal);
-  instance.requests.assign(count, 0);
-  instance.capacity.assign(count, 0);
-  instance.storageCost.assign(count, 0.0);
-  instance.commTime.assign(count, 1.0);
-  instance.bandwidth.assign(count, kUnlimitedBandwidth);
-  instance.qos.assign(count, kNoQos);
-  instance.compTime.assign(count, 0.0);
-  std::vector<bool> seen(count, false);
-
-  for (std::size_t row = 0; row < count; ++row) {
+  // Rows are parsed before any per-vertex array exists: the header's count
+  // is trusted only once that many rows have actually been read.
+  struct Row {
+    std::size_t line = 0;
+    VertexId id = 0;
+    VertexId parent = kNoVertex;
+    VertexKind kind = VertexKind::Internal;
+    Requests requests = 0;
+    Requests capacity = 0;
+    Requests bandwidth = kUnlimitedBandwidth;
+    double storageCost = 0.0;
+    double commTime = 1.0;
+    double qos = kNoQos;
+    double compTime = 0.0;
+  };
+  std::vector<Row> rows;
+  while (rows.size() < count) {
     if (!nextTokens(tokens)) fail(lineNo, "unexpected end of input");
     if (tokens.size() < 3) fail(lineNo, "expected '<id> <kind> <parent> ...'");
-    std::size_t id = 0;
-    long long parent = 0;
-    try {
-      id = std::stoul(tokens[0]);
-      parent = std::stoll(tokens[2]);
-    } catch (const std::exception&) {
-      fail(lineNo, "bad id or parent");
-    }
-    if (id >= count) fail(lineNo, "vertex id out of range");
-    if (seen[id]) fail(lineNo, "duplicate vertex id " + std::to_string(id));
-    seen[id] = true;
-    if (parent < -1 || parent >= static_cast<long long>(count))
-      fail(lineNo, "parent out of range");
-    parents[id] = static_cast<VertexId>(parent);
+    Row row;
+    row.line = lineNo;
+    row.id = static_cast<VertexId>(intToken(tokens[0], 0, maxId, lineNo, "vertex id"));
+    row.parent = static_cast<VertexId>(intToken(tokens[2], -1, maxId, lineNo, "parent"));
 
     const auto kv = keyValues(tokens, 3, lineNo);
     auto getDouble = [&](const char* key, double fallback) {
       const auto it = kv.find(key);
       if (it == kv.end()) return fallback;
-      try {
-        return std::stod(it->second);
-      } catch (const std::exception&) {
-        fail(lineNo, std::string("bad value for ") + key);
-      }
+      double value = 0.0;
+      if (parseWholeDouble(it->second, value) != NumberError::None)
+        fail(lineNo, std::string("bad value for ") + key + " '" + it->second + "'");
+      return value;
     };
     auto getInt = [&](const char* key, Requests fallback) {
       const auto it = kv.find(key);
       if (it == kv.end()) return fallback;
-      try {
-        return static_cast<Requests>(std::stoll(it->second));
-      } catch (const std::exception&) {
-        fail(lineNo, std::string("bad value for ") + key);
-      }
+      return static_cast<Requests>(intToken(it->second, std::numeric_limits<Requests>::min(),
+                                            std::numeric_limits<Requests>::max(), lineNo,
+                                            std::string("value for ") + key));
     };
 
     if (tokens[1] == "internal") {
-      kinds[id] = VertexKind::Internal;
-      instance.capacity[id] = getInt("cap", 0);
-      instance.storageCost[id] =
-          getDouble("cost", static_cast<double>(instance.capacity[id]));
-      instance.compTime[id] = getDouble("compt", 0.0);
+      row.kind = VertexKind::Internal;
+      row.capacity = getInt("cap", 0);
+      row.storageCost = getDouble("cost", static_cast<double>(row.capacity));
+      row.compTime = getDouble("compt", 0.0);
     } else if (tokens[1] == "client") {
-      kinds[id] = VertexKind::Client;
-      instance.requests[id] = getInt("req", 0);
-      instance.qos[id] = getDouble("qos", kNoQos);
+      row.kind = VertexKind::Client;
+      row.requests = getInt("req", 0);
+      row.qos = getDouble("qos", kNoQos);
     } else {
       fail(lineNo, "unknown vertex kind '" + tokens[1] + "'");
     }
-    instance.commTime[id] = getDouble("comm", 1.0);
-    instance.bandwidth[id] = getInt("bw", kUnlimitedBandwidth);
-    if (parents[id] == kNoVertex) instance.commTime[id] = 0.0;
+    row.commTime = getDouble("comm", 1.0);
+    row.bandwidth = getInt("bw", kUnlimitedBandwidth);
+    if (row.parent == kNoVertex) row.commTime = 0.0;
+    rows.push_back(row);
+  }
+
+  // count rows with distinct ids in [0, count): every slot is written once.
+  ProblemInstance instance;
+  std::vector<VertexId> parents(count);
+  std::vector<VertexKind> kinds(count);
+  instance.requests.resize(count);
+  instance.capacity.resize(count);
+  instance.storageCost.resize(count);
+  instance.commTime.resize(count);
+  instance.bandwidth.resize(count);
+  instance.qos.resize(count);
+  instance.compTime.resize(count);
+  std::vector<bool> seen(count, false);
+  for (const Row& row : rows) {
+    const auto id = static_cast<std::size_t>(row.id);
+    if (seen[id]) fail(row.line, "duplicate vertex id " + std::to_string(id));
+    seen[id] = true;
+    parents[id] = row.parent;
+    kinds[id] = row.kind;
+    instance.requests[id] = row.requests;
+    instance.capacity[id] = row.capacity;
+    instance.storageCost[id] = row.storageCost;
+    instance.commTime[id] = row.commTime;
+    instance.bandwidth[id] = row.bandwidth;
+    instance.qos[id] = row.qos;
+    instance.compTime[id] = row.compTime;
   }
 
   try {

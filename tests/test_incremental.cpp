@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 
 #include "core/bounds.hpp"
-#include "exact/closest_homogeneous.hpp"
-#include "exact/closest_qos.hpp"
 #include "exact/exact_ilp.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "experiments/mutation_driver.hpp"
@@ -31,16 +28,6 @@ ProblemInstance smallHomogeneous(std::uint64_t seed, double qosFraction = 0.0) {
   config.qosFraction = qosFraction;
   Prng rng(seed);
   return generateInstance(config, rng);
-}
-
-std::optional<Placement> scratch(const ProblemInstance& instance,
-                                 OnlinePolicy policy) {
-  switch (policy) {
-    case OnlinePolicy::Closest: return solveClosestHomogeneous(instance);
-    case OnlinePolicy::Multiple: return solveMultipleHomogeneousDP(instance);
-    case OnlinePolicy::ClosestQos: return solveClosestHomogeneousQos(instance);
-  }
-  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -110,7 +97,9 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       const auto second = b.resolve();
       ASSERT_EQ(first.has_value(), second.has_value())
           << toString(policy) << " seed=" << seed;
-      if (first) EXPECT_EQ(*first, *second) << toString(policy) << " seed=" << seed;
+      if (first) {
+        EXPECT_EQ(*first, *second) << toString(policy) << " seed=" << seed;
+      }
 
       // Replay one identical value mutation on both sides.
       const auto clients = original.tree.clients();
@@ -124,8 +113,9 @@ TEST(IncrementalSolver, BagScheduleStableAcrossTreeRebuild) {
       const auto secondAfter = b.resolve();
       ASSERT_EQ(firstAfter.has_value(), secondAfter.has_value())
           << toString(policy) << " seed=" << seed;
-      if (firstAfter)
+      if (firstAfter) {
         EXPECT_EQ(*firstAfter, *secondAfter) << toString(policy) << " seed=" << seed;
+      }
     }
   }
 }

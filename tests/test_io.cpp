@@ -84,6 +84,45 @@ TEST(Io, RejectsBadVertexCount) {
   EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices 0\n"), ParseError);
 }
 
+TEST(Io, RejectsNegativeAndOversizedVertexCounts) {
+  // "-1" once wrapped through an unsigned parse into a huge count whose
+  // array sizing escaped as std::length_error instead of a ParseError.
+  EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices -1\n"
+                                  "0 internal -1 cap=5\n"),
+               ParseError);
+  // One past VertexId's range, and past int64 altogether.
+  EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices 2147483648\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices 99999999999999999999\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices 2x\n"), ParseError);
+}
+
+TEST(Io, RejectsTrailingGarbageInNumbers) {
+  const std::string header = "treeplace-instance v1\nvertices 2\n";
+  // cap=3x was once read as 3.
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=3x\n1 client 0 req=1\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5\n1 client 0 req=1.5\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5 cost=2y\n1 client 0 req=1\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5\n1 client 0 req=1 comm=nan\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5\n1x client 0 req=1\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5\n1 client 0z req=1\n"),
+               ParseError);
+  EXPECT_THROW(instanceFromString(header + "0 internal -1 cap=5\n1 client -2 req=1\n"),
+               ParseError);
+  // The same lines with clean numbers parse.
+  const ProblemInstance ok =
+      instanceFromString(header + "0 internal -1 cap=3 cost=2.5\n1 client 0 req=1 comm=0.5\n");
+  EXPECT_EQ(ok.capacity[0], 3);
+  EXPECT_DOUBLE_EQ(ok.storageCost[0], 2.5);
+  EXPECT_DOUBLE_EQ(ok.commTime[1], 0.5);
+}
+
 TEST(Io, RejectsTruncatedBody) {
   EXPECT_THROW(instanceFromString("treeplace-instance v1\nvertices 2\n"
                                   "0 internal -1 cap=5\n"),

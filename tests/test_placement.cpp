@@ -228,10 +228,8 @@ TEST(Placement, StatsTrackSharesAndAllocations) {
   EXPECT_EQ(stats.shareCount, 5u);
   EXPECT_EQ(stats.assignCalls, 5u);
   EXPECT_GE(stats.poolBytes, 8 * sizeof(ServedShare));
-  // 3 fixed buffers + 1 pool reserve; the legacy layout would have paid one
-  // vector per served client on top of its 3 fixed buffers.
+  // 3 fixed buffers + 1 pool reserve.
   EXPECT_EQ(stats.heapAllocs, 4u);
-  EXPECT_EQ(stats.legacyHeapAllocs, 5u + 3u);
 }
 
 TEST(PlacementArena, RecyclingAvoidsAllocations) {

@@ -66,5 +66,28 @@ TEST(PlacementIo, RejectsMalformed) {
                PlacementParseError);
 }
 
+TEST(PlacementIo, RejectsNegativeOversizedAndTrailingGarbage) {
+  EXPECT_THROW(placementFromString("treeplace-placement v1\nvertices -1\n"),
+               PlacementParseError);
+  EXPECT_THROW(placementFromString("treeplace-placement v1\nvertices 2147483648\n"),
+               PlacementParseError);
+  const std::string header = "treeplace-placement v1\nvertices 3\n";
+  EXPECT_THROW(placementFromString(header + "replica 1x\n"), PlacementParseError);
+  EXPECT_THROW(placementFromString(header + "replica -1\n"), PlacementParseError);
+  EXPECT_THROW(placementFromString(header + "assign 2 1 3x\n"), PlacementParseError);
+  EXPECT_THROW(placementFromString(header + "assign 2y 1 3\n"), PlacementParseError);
+  EXPECT_THROW(placementFromString(header + "assign 2 1 99999999999999999999\n"),
+               PlacementParseError);
+  // Amounts that each fit but overflow a server's summed load.
+  EXPECT_THROW(placementFromString(header + "assign 2 1 9223372036854775807\nassign 0 1 1\n"),
+               PlacementParseError);
+  // A bad line after good ones still fails the whole parse.
+  EXPECT_THROW(placementFromString(header + "replica 1\nassign 2 1 3\nassign 2 1 z\n"),
+               PlacementParseError);
+  const Placement ok = placementFromString(header + "replica 1\nassign 2 1 3\n");
+  EXPECT_TRUE(ok.hasReplica(1));
+  EXPECT_EQ(ok.serverLoad(1), 3);
+}
+
 }  // namespace
 }  // namespace treeplace

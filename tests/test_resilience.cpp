@@ -77,9 +77,10 @@ void expectOutcomeSound(const SolveOutcome& out, const ProblemInstance& instance
     EXPECT_EQ(out.placement->replicaCount(), truth->replicaCount()) << context;
     EXPECT_DOUBLE_EQ(out.lowerBound, out.cost) << context;
   }
-  if (out.status == OutcomeStatus::Infeasible)
+  if (out.status == OutcomeStatus::Infeasible) {
     EXPECT_FALSE(truth.has_value())
         << context << ": claimed Infeasible but scratch found a placement";
+  }
   if (out.bracketed() && truth.has_value()) {
     const auto opt = static_cast<double>(truth->replicaCount());
     EXPECT_GE(opt, out.lowerBound - 1e-9)

@@ -203,8 +203,8 @@ TEST(WarmBranchBound, CutsPreserveOptimaAgainstBareOracle) {
 /// same boundary when several workers race the last budget slots: explored
 /// nodes never exceed the budget, every result stays sound (the reported
 /// lower bound never exceeds the true optimum, the incumbent never beats
-/// it), a proven result IS the optimum, and workers == 1 reproduces the
-/// serial boundary exactly — proven at budget == serial node count.
+/// it), a proven result IS the optimum, and the one-worker search (workers
+/// 0 and 1) holds the boundary exactly — proven at budget == its node count.
 TEST(WarmBranchBound, MaxNodesBoundaryHoldsUnderWorkerContention) {
   for (const std::uint64_t seed : {5ULL, 23ULL, 77ULL}) {
     Prng rng(seed);
@@ -219,15 +219,14 @@ TEST(WarmBranchBound, MaxNodesBoundaryHoldsUnderWorkerContention) {
     m.addConstraint(Sense::LessEqual,
                     static_cast<double>(rng.uniformInt(12, 40)), row);
 
-    const MipResult reference = solveMip(m, {});  // serial, unlimited budget
+    const MipResult reference = solveMip(m, {});  // one worker, unlimited budget
     ASSERT_TRUE(reference.proven) << "seed " << seed;
     ASSERT_TRUE(reference.hasIncumbent()) << "seed " << seed;
     const double optimum = reference.objective;
     const long serialNodes = reference.nodesExplored;
 
-    // Serial boundary (the PR 4 fix): a budget of exactly the node count is
-    // a completed search; one short of it is not. The one-worker pool
-    // engine must agree bit for bit.
+    // One-worker boundary: a budget of exactly the node count is a completed
+    // search; one short of it is not.
     for (const int workers : {0, 1}) {
       MipOptions exactBudget;
       exactBudget.workers = workers;
