@@ -68,18 +68,14 @@ BENCHMARK(BM_SimplexUpwardsRelaxation)
     ->Complexity();
 
 /// Warm dual re-solve throughput under branching-style box updates: the
-/// branch-and-bound node loop in miniature. Counters report the tableau
-/// height and the pivot/flip mix, so the bounded-variable layout's saving
-/// (tableau_rows == structural rows instead of rows + ranges) is visible in
-/// the benchmark output, not just in end-to-end timings.
-void resolveLoop(benchmark::State& state, bool explicitBoundRows) {
+/// branch-and-bound node loop in miniature. Counters report the basis
+/// height and the pivot/flip mix.
+void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
   const ProblemInstance inst = instanceOfSize(static_cast<int>(state.range(0)));
   FormulationOptions fo;
   fo.integrality = FormulationOptions::Integrality::Relaxed;
   const IlpFormulation f(inst, Policy::Multiple, fo);
-  lp::SimplexOptions options;
-  options.explicitBoundRows = explicitBoundRows;
-  lp::LpWorkspace workspace(f.model(), options);
+  lp::LpWorkspace workspace(f.model());
   if (workspace.solveCold() != lp::SolveStatus::Optimal) {
     state.SkipWithError("root LP not optimal");
     return;
@@ -100,8 +96,7 @@ void resolveLoop(benchmark::State& state, bool explicitBoundRows) {
     benchmark::DoNotOptimize(status);
   }
   const lp::WarmStartStats& stats = workspace.stats();
-  state.counters["tableau_rows"] = static_cast<double>(stats.tableauRows);
-  state.counters["structural_rows"] = static_cast<double>(stats.structuralRows);
+  state.counters["rows"] = static_cast<double>(stats.rows);
   state.counters["dual_pivots_per_resolve"] =
       stats.warmSolves > 0 ? static_cast<double>(stats.dualIterations) /
                                  static_cast<double>(stats.warmSolves)
@@ -110,18 +105,7 @@ void resolveLoop(benchmark::State& state, bool explicitBoundRows) {
   state.SetComplexityN(state.range(0));
 }
 
-void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
-  resolveLoop(state, /*explicitBoundRows=*/false);
-}
 BENCHMARK(BM_WorkspaceResolveBoundedBoxes)
-    ->RangeMultiplier(2)
-    ->Range(32, 256)
-    ->Complexity();
-
-void BM_WorkspaceResolveExplicitRows(benchmark::State& state) {
-  resolveLoop(state, /*explicitBoundRows=*/true);
-}
-BENCHMARK(BM_WorkspaceResolveExplicitRows)
     ->RangeMultiplier(2)
     ->Range(32, 256)
     ->Complexity();

@@ -213,17 +213,18 @@ struct ServiceWarmIlpResult {
   }
 };
 
-/// One row of part (g): warm dual re-solves, sparse LU engine vs the dense
-/// tableau oracle, on the same workspace-perturbation loop as bench_micro_lp.
-struct SparseDenseRow {
+/// One row of part (g): the same branching-style box updates re-solved warm
+/// (dual simplex from the previous basis) and cold (two-phase from scratch),
+/// on the workspace-perturbation loop of bench_micro_lp.
+struct WarmColdRow {
   int size = 0;
   int rows = 0;
   int cols = 0;
   int resolves = 0;
-  double sparseMs = 0.0;
-  double denseMs = 0.0;
-  double speedup = 0.0;
-  lp::WarmStartStats sparseWarm;
+  double warmMs = 0.0;
+  double coldMs = 0.0;
+  double speedup = 0.0;  ///< coldMs / warmMs
+  lp::WarmStartStats warm;
 };
 
 }  // namespace
@@ -445,8 +446,7 @@ static int run(int argc, char** argv) {
                 exact.feasible() ? formatDouble(exact.cost, 0) : "-",
                 formatDouble(row.warm.basisReuseRate(), 3),
                 formatDouble(row.resolveMsPerNode * 1000.0, 2),
-                std::to_string(row.warm.tableauRows) + "/" +
-                    std::to_string(row.warm.structuralRows),
+                std::to_string(row.warm.rows),
                 std::to_string(row.warm.boundFlips)});
       if (!exact.proven || ms > 30000.0) break;
     }
@@ -634,9 +634,10 @@ static int run(int argc, char** argv) {
   }
   const std::size_t rssLarge = bench::peakRssBytes();
 
-  std::cout << "(g) Sparse LU vs dense tableau — warm dual re-solves under "
-               "branching-style box updates (min over " << repeats << " runs)\n";
-  std::vector<SparseDenseRow> sparseDenseRows;
+  std::cout << "(g) Warm vs cold re-solves — the same branching-style box "
+               "updates through the dual simplex and from scratch (min over "
+            << repeats << " runs)\n";
+  std::vector<WarmColdRow> warmColdRows;
   {
     const int resolves = 400;
     for (const int s : {64, 128, 256}) {
@@ -657,18 +658,16 @@ static int run(int argc, char** argv) {
       }
       if (branchVar < 0) continue;
 
-      SparseDenseRow row;
+      WarmColdRow row;
       row.size = s;
       row.rows = static_cast<int>(f.model().constraintCount());
       row.cols = static_cast<int>(f.model().variableCount());
       row.resolves = resolves;
       bool ok = true;
-      for (const bool dense : {false, true}) {
-        lp::SimplexOptions so;
-        so.denseTableau = dense;
+      for (const bool warm : {true, false}) {
         double best = 0.0;
         for (int rep = 0; rep < repeats && ok; ++rep) {
-          lp::LpWorkspace workspace(f.model(), so);
+          lp::LpWorkspace workspace(f.model());
           if (workspace.solveCold() != lp::SolveStatus::Optimal) {
             ok = false;
             break;
@@ -678,36 +677,36 @@ static int run(int argc, char** argv) {
           for (int k = 0; k < resolves; ++k) {
             workspace.setBounds(branchVar, 0.0, flip ? 0.0 : 1.0);
             flip ^= 1;
-            if (workspace.solveDual() == lp::SolveStatus::IterationLimit)
+            if (!warm || workspace.solveDual() == lp::SolveStatus::IterationLimit)
               (void)workspace.solveCold();
           }
           const double ms = millis(t0);
           best = rep == 0 ? ms : std::min(best, ms);
-          if (!dense && rep == repeats - 1) row.sparseWarm = workspace.stats();
+          if (warm && rep == repeats - 1) row.warm = workspace.stats();
         }
-        (dense ? row.denseMs : row.sparseMs) = best;
+        (warm ? row.warmMs : row.coldMs) = best;
       }
       if (!ok) continue;
-      row.speedup = row.sparseMs > 0.0 ? row.denseMs / row.sparseMs : 0.0;
-      sparseDenseRows.push_back(row);
+      row.speedup = row.warmMs > 0.0 ? row.coldMs / row.warmMs : 0.0;
+      warmColdRows.push_back(row);
     }
     TextTable t;
-    t.setHeader({"s", "rows", "cols", "sparse (ms)", "dense (ms)", "speedup",
+    t.setHeader({"s", "rows", "cols", "warm (ms)", "cold (ms)", "speedup",
                  "refactor", "etas", "basis nnz"});
-    for (const SparseDenseRow& row : sparseDenseRows) {
+    for (const WarmColdRow& row : warmColdRows) {
       t.addRow({std::to_string(row.size), std::to_string(row.rows),
-                std::to_string(row.cols), formatDouble(row.sparseMs, 2),
-                formatDouble(row.denseMs, 2), formatDouble(row.speedup, 2),
-                std::to_string(row.sparseWarm.refactorizations),
-                std::to_string(row.sparseWarm.etaCount),
-                std::to_string(row.sparseWarm.basisNnz)});
+                std::to_string(row.cols), formatDouble(row.warmMs, 2),
+                formatDouble(row.coldMs, 2), formatDouble(row.speedup, 2),
+                std::to_string(row.warm.refactorizations),
+                std::to_string(row.warm.etaCount),
+                std::to_string(row.warm.basisNnz)});
     }
     std::cout << t.render()
-              << "  expectation: the sparse LU engine widens its lead with "
-                 "the tableau (>= 5x at the largest size the dense path "
-                 "still handles)\n";
+              << "  expectation: a warm re-solve costs a few dual pivots, a "
+                 "cold one a full two-phase solve, so the warm lead widens "
+                 "with s\n";
   }
-  const std::size_t rssSparse = bench::peakRssBytes();
+  const std::size_t rssWarmCold = bench::peakRssBytes();
 
   const std::vector<int> mutateSizes =
       readSizes(options, "mutate-sizes", {1000, 10000, 100000});
@@ -1263,18 +1262,18 @@ static int run(int argc, char** argv) {
     }
     json.endArray();
     json.endObject();
-    json.key("sparse_vs_dense").beginArray();
-    for (const SparseDenseRow& row : sparseDenseRows) {
+    json.key("warm_vs_cold").beginArray();
+    for (const WarmColdRow& row : warmColdRows) {
       json.beginObject();
       json.key("s").value(row.size);
       json.key("rows").value(row.rows);
       json.key("cols").value(row.cols);
       json.key("resolves").value(row.resolves);
-      json.key("sparse_ms").value(row.sparseMs);
-      json.key("dense_ms").value(row.denseMs);
+      json.key("warm_ms").value(row.warmMs);
+      json.key("cold_ms").value(row.coldMs);
       json.key("speedup").value(row.speedup);
-      json.key("sparse_warm");
-      writeWarmStartStats(json, row.sparseWarm);
+      json.key("warm");
+      writeWarmStartStats(json, row.warm);
       json.endObject();
     }
     json.endArray();
@@ -1393,7 +1392,7 @@ static int run(int argc, char** argv) {
     json.key("parallel_bb").value(static_cast<std::int64_t>(rssParallel));
     json.key("batch_driver").value(static_cast<std::int64_t>(rssBatch));
     json.key("large_scale").value(static_cast<std::int64_t>(rssLarge));
-    json.key("sparse_vs_dense").value(static_cast<std::int64_t>(rssSparse));
+    json.key("warm_vs_cold").value(static_cast<std::int64_t>(rssWarmCold));
     json.key("incremental").value(static_cast<std::int64_t>(rssIncremental));
     json.key("resilience").value(static_cast<std::int64_t>(rssResilience));
     json.key("multitree").value(static_cast<std::int64_t>(rssMultitree));

@@ -235,11 +235,9 @@ std::string renderWarmStartStats(const lp::WarmStartStats& stats) {
   os << stats.warmSolves << " warm / " << stats.coldSolves << " cold solves ("
      << static_cast<int>(stats.basisReuseRate() * 100.0 + 0.5) << "% reuse), "
      << stats.dualIterations << " dual pivots, " << stats.boundFlips
-     << " bound flips, tableau " << stats.tableauRows << "/"
-     << stats.structuralRows;
-  if (stats.etaCount > 0 || stats.refactorizations > 0 || stats.basisNnz > 0)
-    os << "; sparse: " << stats.etaCount << " etas, " << stats.refactorizations
-       << " refactorizations, " << stats.basisNnz << " basis nnz";
+     << " bound flips, " << stats.rows << " rows; " << stats.etaCount
+     << " etas, " << stats.refactorizations << " refactorizations, "
+     << stats.basisNnz << " basis nnz";
   if (stats.workers > 1)
     os << "; " << stats.workers << " workers, " << stats.stealCount
        << " steals, " << stats.idleMs << " ms idle";
@@ -260,8 +258,7 @@ void writeWarmStartStats(JsonWriter& json, const lp::WarmStartStats& stats) {
       .value(static_cast<std::int64_t>(stats.refactorizations));
   json.key("eta_count").value(static_cast<std::int64_t>(stats.etaCount));
   json.key("basis_nnz").value(static_cast<std::int64_t>(stats.basisNnz));
-  json.key("tableau_rows").value(stats.tableauRows);
-  json.key("structural_rows").value(stats.structuralRows);
+  json.key("rows").value(stats.rows);
   json.key("workers").value(stats.workers);
   json.key("steal_count").value(static_cast<std::int64_t>(stats.stealCount));
   json.key("idle_ms").value(stats.idleMs);

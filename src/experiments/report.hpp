@@ -81,8 +81,9 @@ std::string renderPlacementStats(const PlacementStats& stats);
 void writePlacementStats(JsonWriter& json, const PlacementStats& stats);
 
 /// One-line human rendering of a warm-started solve sequence's telemetry
-/// (lp/workspace.hpp): solve mix, basis reuse, bound flips, and — for the
-/// worker-pool engine — workers, steals, and summed idle time.
+/// (lp/workspace.hpp): solve mix, basis reuse, bound flips, basis height and
+/// LU/eta counters, and — for the worker-pool engine — workers, steals, and
+/// summed idle time.
 std::string renderWarmStartStats(const lp::WarmStartStats& stats);
 
 /// Emit the telemetry as the `bb_warm` JSON object ({"warm_solves":..,

@@ -93,7 +93,6 @@ MipResult solveMipCold(const Model& model, const MipOptions& options,
       // Shared budget tripped: stop like the node cap — incumbent and global
       // dual bound stay valid, the result just loses its optimality proof.
       hitNodeLimit = true;
-      result.stopReason = options.guard->verdict();
       break;
     }
     Node node = open.top();
@@ -204,17 +203,18 @@ MipResult solveMip(const Model& model, const MipOptions& optionsIn) {
   for (const int j : integers) {
     // The workspace's column mapping is fixed by the root bounds. With
     // bounded-variable columns any non-free integer absorbs both branch
-    // directions as box updates; the legacy explicit-row oracle additionally
-    // needs the finite range that owns its upper-bound row.
-    const bool freeVar =
-        model.lower(j) == -kInfinity && model.upper(j) == kInfinity;
-    const bool fullRange =
-        model.lower(j) != -kInfinity && model.upper(j) != kInfinity;
-    if (options.lp.explicitBoundRows ? !fullRange : freeVar)
-      warmEligible = false;  // branching would change the standard-form shape
+    // directions as box updates; a free one would change the standard-form
+    // shape.
+    if (model.lower(j) == -kInfinity && model.upper(j) == kInfinity)
+      warmEligible = false;
   }
-  return warmEligible ? detail::solveMipParallel(model, options, integers)
-                      : solveMipCold(model, options, integers);
+  MipResult result = warmEligible ? detail::solveMipParallel(model, options, integers)
+                                  : solveMipCold(model, options, integers);
+  // An unproven search reports the guard's sticky verdict: this also covers
+  // a trip inside the last open node's LP, which no node-pop tick sees.
+  if (!result.proven && options.guard != nullptr)
+    result.stopReason = options.guard->verdict();
+  return result;
 }
 
 }  // namespace treeplace::lp

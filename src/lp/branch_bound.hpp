@@ -27,8 +27,7 @@ struct MipOptions {
   /// LpWorkspaces (no per-node model copies). Off runs the cold oracle, which
   /// builds and solves every node LP from scratch — the independent reference
   /// the equivalence tests compare against; `workers` and `workspace` are
-  /// then ignored. A model with a free integer variable (under
-  /// explicitBoundRows: one without a finite range) always runs cold.
+  /// then ignored. A model with a free integer variable always runs cold.
   bool warmStart = true;
   /// Optional per-variable branching priority (size = variableCount, higher
   /// branches first): among fractional integer variables the highest
@@ -49,7 +48,7 @@ struct MipOptions {
   /// the root LP with the dual simplex from the previous run's final basis —
   /// the cross-solve analogue of the per-node warm start. It becomes worker
   /// 0's workspace, which always solves the root; further workers clone it
-  /// after the re-sync. Ignored when the cold oracle runs. The workspace must
+  /// after the root LP. Ignored when the cold oracle runs. The workspace must
   /// have been built from this model (or one sharing its standard form) with
   /// the same SimplexOptions.
   LpWorkspace* workspace = nullptr;
@@ -87,9 +86,11 @@ struct MipResult {
   long nodesExplored = 0;
   WarmStartStats warm;            ///< LP re-solve telemetry (lp/workspace)
   double lpMillis = 0.0;          ///< wall time spent inside node LP solves
-  /// Why the search stopped early (Ok = it ran to its natural end or only
-  /// hit the classic maxNodes cap). The [lowerBound, objective] bracket is
-  /// certified regardless of the verdict.
+  /// Why the search stopped early: the verdict of MipOptions::guard whenever
+  /// the result is unproven and the guard tripped, wherever it tripped (node
+  /// pop or node LP pivot); Ok when it ran to its natural end or only hit the
+  /// classic maxNodes cap. The [lowerBound, objective] bracket is certified
+  /// regardless of the verdict.
   BudgetVerdict stopReason = BudgetVerdict::Ok;
 
   bool hasIncumbent() const { return !values.empty(); }

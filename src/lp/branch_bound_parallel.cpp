@@ -3,8 +3,9 @@
 //
 // Threading model, in one breath: N workers each own a private LpWorkspace
 // (worker 0 the caller's persistent one or a fresh parse, the others clones
-// of it; bound changes stay pure box updates, so per-worker memory is
-// tableau-height-bounded); open nodes live in N
+// of it taken after the root LP, so they start from the root basis; bound
+// changes stay pure box updates, so per-worker memory is
+// basis-height-bounded); open nodes live in N
 // granularity-bucketed shards (one per worker, each a mutex-guarded
 // NodePool); workers pop best-bound from their own shard, steal from a
 // foreign shard when theirs runs dry, and push children to their own shard;
@@ -30,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -108,7 +110,6 @@ struct SharedState {
   std::atomic<long> outstanding{0};   ///< nodes in shards + nodes being expanded
   std::atomic<unsigned long> pushEpoch{0};
   std::atomic<bool> budgetExhausted{false};
-  std::atomic<bool> guardTripped{false};  ///< options.guard stopped a node pop
   std::atomic<bool> abortUnbounded{false};
   std::atomic<bool> sawIterationLimit{false};
 
@@ -132,7 +133,8 @@ struct SharedState {
 /// reconstruction scratch, and the locally accumulated result pieces that
 /// the main thread merges after the join.
 struct WorkerState {
-  LpWorkspace& workspace;
+  LpWorkspace* workspace = nullptr;  ///< the caller's, or &*owned; null until cloned
+  std::optional<LpWorkspace> owned;  ///< worker 0's fresh parse or a root clone
   std::vector<unsigned> stamp;
   std::vector<int> touched;
   unsigned epoch = 0;
@@ -141,8 +143,8 @@ struct WorkerState {
   long steals = 0;
   double idleMs = 0.0;
 
-  WorkerState(LpWorkspace& own, int variableCount)
-      : workspace(own), stamp(static_cast<std::size_t>(variableCount), 0) {}
+  explicit WorkerState(int variableCount)
+      : stamp(static_cast<std::size_t>(variableCount), 0) {}
 };
 
 struct Claim {
@@ -187,7 +189,6 @@ bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
       // Shared budget tripped: stop like the node cap — incumbent and global
       // dual bound stay valid, the result just loses its optimality proof.
       shared.explored.fetch_sub(1);
-      shared.guardTripped.store(true);
       shared.budgetExhausted.store(true);
       stop = true;
       return false;
@@ -200,7 +201,14 @@ bool tryClaim(SharedState& shared, int self, Claim& claim, bool& stop,
   return false;
 }
 
-void workerLoop(SharedState& shared, WorkerState& worker, int self) {
+/// `rootClones` is empty for every worker but 0, which hands each of them a
+/// clone of its workspace after the root LP and before it publishes the
+/// root's children: the others start from the root basis instead of a cold
+/// two-phase solve, and a root that closes costs no clone at all. The shard
+/// mutex of that push orders the writes before any other worker's first
+/// claim.
+void workerLoop(SharedState& shared, WorkerState& worker, int self,
+                std::span<WorkerState> rootClones) {
   const MipOptions& options = shared.options;
   const double cutoffGap = options.absoluteGap;
   const Model& model = shared.model;
@@ -208,7 +216,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
 
   const auto applyNodeBounds = [&](long id) {
     for (const int v : worker.touched)
-      worker.workspace.setBounds(v, model.lower(v), model.upper(v));
+      worker.workspace->setBounds(v, model.lower(v), model.upper(v));
     worker.touched.clear();
     ++worker.epoch;
     for (long cur = id; cur >= 0; cur = shared.arena.get(cur).parent) {
@@ -217,7 +225,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       auto& mark = worker.stamp[static_cast<std::size_t>(node.branchVar)];
       if (mark == worker.epoch) continue;
       mark = worker.epoch;
-      worker.workspace.setBounds(node.branchVar, node.lower, node.upper);
+      worker.workspace->setBounds(node.branchVar, node.lower, node.upper);
       worker.touched.push_back(node.branchVar);
     }
   };
@@ -285,7 +293,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
 
     applyNodeBounds(claim.id);
     const auto t0 = std::chrono::steady_clock::now();
-    const SolveStatus status = worker.workspace.solve();
+    const SolveStatus status = worker.workspace->solve();
     worker.lpMillis += millisSince(t0);
 
     if (status == SolveStatus::Infeasible) {
@@ -305,7 +313,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
     }
 
     const double lpBound =
-        roundBound(worker.workspace.objective(), options.objectiveGranularity);
+        roundBound(worker.workspace->objective(), options.objectiveGranularity);
     const double nodeBound = std::max(inheritedBound, lpBound);
     if (std::max(nodeBound, options.knownLowerBound) >=
         shared.incumbentObj.load() - cutoffGap) {
@@ -314,7 +322,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       continue;
     }
 
-    const std::span<const double> values = worker.workspace.values();
+    const std::span<const double> values = worker.workspace->values();
     const int branchVar = pickBranchVariable(values, shared.integers,
                                              options.branchPriority,
                                              options.integralityTol);
@@ -323,7 +331,7 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       // Integral: candidate incumbent. The atomic objective is the cheap
       // gate; the point itself is swapped under the mutex, double-checked so
       // the stored objective stays monotone.
-      const double objective = worker.workspace.objective();
+      const double objective = worker.workspace->objective();
       if (objective < shared.incumbentObj.load() - cutoffGap) {
         const std::lock_guard<std::mutex> lock(shared.incumbentMutex);
         if (objective < shared.incumbentObj.load() - cutoffGap) {
@@ -340,8 +348,8 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
     }
 
     const double value = values[static_cast<std::size_t>(branchVar)];
-    const double curLo = worker.workspace.currentLower(branchVar);
-    const double curHi = worker.workspace.currentUpper(branchVar);
+    const double curLo = worker.workspace->currentLower(branchVar);
+    const double curHi = worker.workspace->currentUpper(branchVar);
     const double downHi = std::floor(value);
     const double upLo = std::ceil(value);
     long childIds[2] = {-1, -1};
@@ -370,6 +378,12 @@ void workerLoop(SharedState& shared, WorkerState& worker, int self) {
       worker.minClosedBound = std::min(worker.minClosedBound, nodeBound);
     }
     if (children > 0) {
+      if (claim.id == 0) {
+        for (WorkerState& other : rootClones) {
+          other.owned.emplace(worker.workspace->clone());
+          other.workspace = &*other.owned;
+        }
+      }
       // Outstanding rises before the push so the count can never transiently
       // hit zero while claimable work exists (this node still counts as 1
       // until the final decrement below).
@@ -412,39 +426,38 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
   // Worker 0 runs on the caller's persistent workspace, re-synced with the
   // (possibly patched) model: the final basis of the previous run then
   // warm-starts the root LP. Without one it parses the model afresh. The
-  // other workers clone worker 0's (a memcpy of the standard form and basis).
-  std::optional<LpWorkspace> owned;
+  // other workers clone worker 0's after the root LP (see workerLoop).
+  std::vector<WorkerState> workers(static_cast<std::size_t>(workerCount),
+                                   WorkerState(model.variableCount()));
+  WorkerState& first = workers.front();
   if (options.workspace != nullptr) {
     options.workspace->syncFromModel(model);
     options.workspace->resetStats();
+    first.workspace = options.workspace;
   } else {
-    owned.emplace(model, options.lp);
+    first.owned.emplace(model, options.lp);
+    first.workspace = &*first.owned;
   }
-  LpWorkspace& first = options.workspace != nullptr ? *options.workspace : *owned;
-  std::vector<LpWorkspace> clones;
-  clones.reserve(static_cast<std::size_t>(workerCount - 1));
-  for (int w = 1; w < workerCount; ++w) clones.push_back(first.clone());
-  std::vector<WorkerState> workers;
-  workers.reserve(static_cast<std::size_t>(workerCount));
-  workers.emplace_back(first, model.variableCount());
-  for (LpWorkspace& clone : clones) workers.emplace_back(clone, model.variableCount());
+  const std::span<WorkerState> rootClones = std::span(workers).subspan(1);
 
   if (workerCount == 1) {
     // Inline on the calling thread: zero spawn cost, fully deterministic.
-    workerLoop(shared, workers[0], 0);
+    workerLoop(shared, first, 0, rootClones);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(workerCount));
     for (int w = 0; w < workerCount; ++w)
-      threads.emplace_back(
-          [&shared, &workers, w] { workerLoop(shared, workers[w], w); });
+      threads.emplace_back([&shared, &workers, rootClones, w] {
+        workerLoop(shared, workers[static_cast<std::size_t>(w)], w,
+                   w == 0 ? rootClones : std::span<WorkerState>());
+      });
     for (auto& t : threads) t.join();
   }
 
   MipResult result;
   result.nodesExplored = shared.explored.load();
   for (WorkerState& w : workers) {
-    result.warm.merge(w.workspace.stats());
+    if (w.workspace != nullptr) result.warm.merge(w.workspace->stats());
     result.warm.stealCount += w.steals;
     result.warm.idleMs += w.idleMs;
     result.lpMillis += w.lpMillis;
@@ -468,7 +481,6 @@ MipResult solveMipParallel(const Model& model, const MipOptions& options,
     remaining += static_cast<long>(shard->pool.size());
     openMin = std::min(openMin, shard->pool.drainMinBound());
   }
-  if (shared.guardTripped.load()) result.stopReason = options.guard->verdict();
   // A tripped guard leaves its node in the shard, so remaining > 0 then too.
   const bool hitNodeLimit = shared.budgetExhausted.load() && remaining > 0;
   const bool sawIterationLimit = shared.sawIterationLimit.load();

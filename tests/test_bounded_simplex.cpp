@@ -1,6 +1,6 @@
 // The bounded-variable simplex (finite ranges as column boxes handled in the
-// ratio tests) against the legacy explicit-upper-bound-row layout, which is
-// kept behind SimplexOptions::explicitBoundRows as the independent oracle.
+// ratio tests) against the dense reference simplex of reference_simplex.hpp,
+// which writes every finite range out as an explicit upper-bound row.
 #include "lp/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "exact/exact_ilp.hpp"
 #include "formulation/ilp.hpp"
 #include "lp/branch_bound.hpp"
+#include "reference_simplex.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 #include "tree/generator.hpp"
@@ -49,19 +50,16 @@ Model randomBoxedLp(Prng& rng, int vars, int rows) {
   return m;
 }
 
-/// 100+ random LPs: the box layout and the explicit-row oracle must agree on
-/// status and optimum, while only the oracle pays tableau rows for ranges.
-TEST(BoundedSimplex, MatchesExplicitRowOracleOnRandomLps) {
+/// 100+ random LPs: the box layout and the explicit-row reference must agree
+/// on status and optimum.
+TEST(BoundedSimplex, MatchesExplicitRowReferenceOnRandomLps) {
   int optimalPairs = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     Prng rng(seed);
     const Model m = randomBoxedLp(rng, 6, 4);
 
-    SimplexOptions boxes;
-    SimplexOptions oracle;
-    oracle.explicitBoundRows = true;
-    const LpSolution viaBoxes = solveLp(m, boxes);
-    const LpSolution viaRows = solveLp(m, oracle);
+    const LpSolution viaBoxes = solveLp(m);
+    const LpSolution viaRows = reference::solveLp(m);
 
     ASSERT_EQ(viaBoxes.status, viaRows.status) << "seed " << seed;
     if (viaBoxes.status != SolveStatus::Optimal) continue;
@@ -77,8 +75,9 @@ TEST(BoundedSimplex, MatchesExplicitRowOracleOnRandomLps) {
   EXPECT_GT(optimalPairs, 40) << "random family degenerated";
 }
 
-/// Warm dual re-solves of the box layout against cold explicit-row solves of
-/// the same perturbed model — both representations AND both solve paths.
+/// Warm dual re-solves of the box layout against cold explicit-row reference
+/// solves of the same perturbed model — both representations AND both solve
+/// paths.
 TEST(BoundedSimplex, WarmBoxResolveMatchesExplicitRowColdSolve) {
   int optimalResolves = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -98,7 +97,7 @@ TEST(BoundedSimplex, WarmBoxResolveMatchesExplicitRowColdSolve) {
     }
 
     LpWorkspace workspace(m, {});
-    EXPECT_EQ(workspace.tableauRows(), m.constraintCount());
+    EXPECT_EQ(workspace.rows(), m.constraintCount());
     if (workspace.solveCold() != SolveStatus::Optimal) continue;
 
     std::vector<double> lo(vars, 0.0), hi(vars, 10.0);
@@ -119,9 +118,7 @@ TEST(BoundedSimplex, WarmBoxResolveMatchesExplicitRowColdSolve) {
       for (int j = 0; j < vars; ++j)
         reference.setBounds(j, lo[static_cast<std::size_t>(j)],
                             hi[static_cast<std::size_t>(j)]);
-      SimplexOptions oracle;
-      oracle.explicitBoundRows = true;
-      const LpSolution fresh = solveLp(reference, oracle);
+      const LpSolution fresh = reference::solveLp(reference);
 
       ASSERT_EQ(warm, fresh.status) << "seed " << seed << " trial " << trial;
       if (warm != SolveStatus::Optimal) continue;
@@ -190,31 +187,35 @@ TEST(BoundedSimplex, DualResolveHandlesShrunkBoxes) {
 }
 
 /// A fixed box ([c, c]) is a width-zero column: it must be representable and
-/// must pin the variable exactly, in both layouts.
+/// must pin the variable exactly, as a zero-width box and as a zero-rhs row.
 TEST(BoundedSimplex, ZeroWidthBoxesPinVariables) {
-  for (const bool explicitRows : {false, true}) {
-    Model m;
-    const int x = m.addVariable(0.0, 6.0, 1.0);
-    const int y = m.addVariable(0.0, 6.0, 2.0);
-    m.addConstraint(Sense::GreaterEqual, 5.0,
-                    std::vector<Term>{t(x, 1.0), t(y, 1.0)});
-    SimplexOptions options;
-    options.explicitBoundRows = explicitRows;
-    LpWorkspace workspace(m, options);
-    ASSERT_EQ(workspace.solveCold(), SolveStatus::Optimal);
-    workspace.setBounds(x, 2.0, 2.0);
-    SolveStatus st = workspace.solveDual();
-    if (st == SolveStatus::IterationLimit) st = workspace.solveCold();
-    ASSERT_EQ(st, SolveStatus::Optimal);
-    EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(x)], 2.0, 1e-9);
-    EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(y)], 3.0, 1e-9);
-    EXPECT_NEAR(workspace.objective(), 8.0, 1e-9);
-  }
+  Model m;
+  const int x = m.addVariable(0.0, 6.0, 1.0);
+  const int y = m.addVariable(0.0, 6.0, 2.0);
+  m.addConstraint(Sense::GreaterEqual, 5.0,
+                  std::vector<Term>{t(x, 1.0), t(y, 1.0)});
+  LpWorkspace workspace(m);
+  ASSERT_EQ(workspace.solveCold(), SolveStatus::Optimal);
+  workspace.setBounds(x, 2.0, 2.0);
+  SolveStatus st = workspace.solveDual();
+  if (st == SolveStatus::IterationLimit) st = workspace.solveCold();
+  ASSERT_EQ(st, SolveStatus::Optimal);
+  EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(x)], 2.0, 1e-9);
+  EXPECT_NEAR(workspace.values()[static_cast<std::size_t>(y)], 3.0, 1e-9);
+  EXPECT_NEAR(workspace.objective(), 8.0, 1e-9);
+
+  m.setBounds(x, 2.0, 2.0);
+  const LpSolution viaRows = reference::solveLp(m);
+  ASSERT_EQ(viaRows.status, SolveStatus::Optimal);
+  EXPECT_NEAR(viaRows.values[static_cast<std::size_t>(x)], 2.0, 1e-9);
+  EXPECT_NEAR(viaRows.values[static_cast<std::size_t>(y)], 3.0, 1e-9);
+  EXPECT_NEAR(viaRows.objective, 8.0, 1e-9);
 }
 
-/// Branch-and-bound with the box layout against the explicit-row oracle on
-/// 100 random MIPs: same optima, same proven flags.
-TEST(BoundedSimplex, MipMatchesExplicitRowOracle) {
+/// Branch-and-bound with the box layout against the explicit-row reference
+/// on 100 random MIPs: same status and optima, every box-layout search
+/// proven.
+TEST(BoundedSimplex, MipMatchesExplicitRowReference) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     Prng rng(seed * 37);
     Model m;
@@ -228,25 +229,20 @@ TEST(BoundedSimplex, MipMatchesExplicitRowOracle) {
     m.addConstraint(Sense::LessEqual, static_cast<double>(rng.uniformInt(10, 40)),
                     row);
 
-    MipOptions viaBoxes;
-    MipOptions viaRows;
-    viaRows.lp.explicitBoundRows = true;
-    const MipResult boxes = solveMip(m, viaBoxes);
-    const MipResult rows = solveMip(m, viaRows);
+    const MipResult boxes = solveMip(m);
+    const reference::MipSolution rows = reference::solveMip(m);
 
     ASSERT_EQ(boxes.status, rows.status) << "seed " << seed;
-    ASSERT_EQ(boxes.proven, rows.proven) << "seed " << seed;
-    ASSERT_EQ(boxes.hasIncumbent(), rows.hasIncumbent()) << "seed " << seed;
+    ASSERT_TRUE(boxes.proven) << "seed " << seed;
+    ASSERT_EQ(boxes.hasIncumbent(), !rows.values.empty()) << "seed " << seed;
     if (!boxes.hasIncumbent()) continue;
     EXPECT_NEAR(boxes.objective, rows.objective, 1e-9) << "seed " << seed;
-    EXPECT_EQ(boxes.warm.tableauRows, boxes.warm.structuralRows) << "seed " << seed;
-    EXPECT_GT(rows.warm.tableauRows, rows.warm.structuralRows) << "seed " << seed;
   }
 }
 
-/// End to end on the Section 5 ILP: box layout vs explicit-row oracle on the
-/// real solver stack (cuts, symmetry orderings, warm starts all active).
-TEST(BoundedSimplex, ExactIlpMatchesExplicitRowOracleOnRandomInstances) {
+/// End to end on the Section 5 ILP: box layout vs explicit-row reference on
+/// the real solver stack (cuts, symmetry orderings, warm starts all active).
+TEST(BoundedSimplex, ExactIlpMatchesExplicitRowReferenceOnRandomInstances) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const ProblemInstance inst = testutil::smallRandomInstance(
@@ -254,26 +250,24 @@ TEST(BoundedSimplex, ExactIlpMatchesExplicitRowOracleOnRandomInstances) {
         /*minSize=*/6, /*maxSize=*/12);
     const Policy policy = seed % 2 == 0 ? Policy::Multiple : Policy::Upwards;
 
-    ExactIlpOptions viaBoxes;
-    ExactIlpOptions viaRows;
-    viaRows.mip.lp.explicitBoundRows = true;
-    const ExactIlpResult boxes = solveExactViaIlp(inst, policy, viaBoxes);
-    const ExactIlpResult rows = solveExactViaIlp(inst, policy, viaRows);
+    const ExactIlpResult boxes = solveExactViaIlp(inst, policy);
+    const reference::MipSolution rows = reference::solveExactIlp(inst, policy);
 
-    ASSERT_EQ(boxes.proven, rows.proven) << "seed " << seed;
-    ASSERT_EQ(boxes.feasible(), rows.feasible()) << "seed " << seed;
+    ASSERT_TRUE(boxes.proven) << "seed " << seed;
+    ASSERT_NE(rows.status, SolveStatus::IterationLimit) << "seed " << seed;
+    ASSERT_EQ(boxes.feasible(), rows.status == SolveStatus::Optimal) << "seed " << seed;
     ++compared;
     if (!boxes.feasible()) continue;
-    EXPECT_NEAR(boxes.cost, rows.cost, 1e-9) << "seed " << seed;
+    EXPECT_NEAR(boxes.cost, rows.objective, 1e-9) << "seed " << seed;
     EXPECT_TRUE(testutil::placementValid(inst, *boxes.placement, policy))
         << "seed " << seed;
   }
   EXPECT_GE(compared, 30);
 }
 
-/// Cuts-heavy QoS model: frontier cuts add structural rows, but the tableau
-/// height must track the model's constraint count exactly — the per-range
-/// upper-bound rows that used to amplify every added cut are gone.
+/// Cuts-heavy QoS model: frontier cuts add structural rows, but the basis
+/// height must track the model's constraint count exactly — no per-range
+/// upper-bound row amplifies an added cut.
 TEST(BoundedSimplex, CutRowsNoLongerAmplifiedByRanges) {
   const ProblemInstance inst = [] {
     GeneratorConfig config;
@@ -300,31 +294,18 @@ TEST(BoundedSimplex, CutRowsNoLongerAmplifiedByRanges) {
 
   const LpWorkspace bareWs(bare.model());
   const LpWorkspace cutWs(strengthened.model());
-  // Box layout: every tableau row is a model row, before and after cuts.
-  EXPECT_EQ(bareWs.tableauRows(), bare.model().constraintCount());
-  EXPECT_EQ(cutWs.tableauRows(), strengthened.model().constraintCount());
-  EXPECT_EQ(cutWs.tableauRows(), cutWs.structuralRows());
-  EXPECT_EQ(cutWs.tableauRows() - bareWs.tableauRows(), cutRows + orderRows);
+  // Box layout: every basis row is a model row, before and after cuts.
+  EXPECT_EQ(bareWs.rows(), bare.model().constraintCount());
+  EXPECT_EQ(cutWs.rows(), strengthened.model().constraintCount());
+  EXPECT_EQ(cutWs.rows() - bareWs.rows(), cutRows + orderRows);
 
-  // The oracle layout pays one extra row per finite range on top of every
-  // model row — the amplification the rewrite removes.
-  SimplexOptions oracle;
-  oracle.explicitBoundRows = true;
-  const LpWorkspace oracleWs(strengthened.model(), oracle);
-  EXPECT_GT(oracleWs.tableauRows(), oracleWs.structuralRows());
-  const int ranges = oracleWs.tableauRows() - oracleWs.structuralRows();
-  EXPECT_GT(ranges, 0);
-  EXPECT_EQ(cutWs.tableauRows() + ranges, oracleWs.tableauRows());
-
-  // Both layouts still close the same instance to the same optimum.
-  ExactIlpOptions viaBoxes;
-  ExactIlpOptions viaRows;
-  viaRows.mip.lp.explicitBoundRows = true;
-  const ExactIlpResult a = solveExactViaIlp(inst, Policy::Multiple, viaBoxes);
-  const ExactIlpResult b = solveExactViaIlp(inst, Policy::Multiple, viaRows);
-  ASSERT_EQ(a.feasible(), b.feasible());
+  // The box layout and the explicit-row reference close the same instance
+  // to the same optimum.
+  const ExactIlpResult a = solveExactViaIlp(inst, Policy::Multiple);
+  const reference::MipSolution b = reference::solveExactIlp(inst, Policy::Multiple);
+  ASSERT_EQ(a.feasible(), b.status == SolveStatus::Optimal);
   if (a.feasible()) {
-    EXPECT_NEAR(a.cost, b.cost, 1e-9);
+    EXPECT_NEAR(a.cost, b.objective, 1e-9);
   }
 }
 

@@ -280,7 +280,7 @@ TEST(ParallelBranchBound, WarmIlpStreamMatchesPinnedSearch) {
 /// (only when a node is available, after the maxNodes check) and once per
 /// LP pivot. A budget equal to the full run's usage completes with a proof;
 /// one step less stops it. A trip inside the last node LP (pool already
-/// empty) leaves stopReason Ok and the result unproven.
+/// empty) leaves the result unproven and still reports the StepLimit.
 TEST(ParallelBranchBound, StepBudgetMatchesPinnedUsage) {
   struct Pin {
     std::uint64_t seed;
@@ -294,23 +294,23 @@ TEST(ParallelBranchBound, StepBudgetMatchesPinnedUsage) {
       {5, 31, BudgetVerdict::Ok, true, 31, 6},
       {5, 30, BudgetVerdict::StepLimit, false, 31, 5},
       {5, 15, BudgetVerdict::StepLimit, false, 16, 2},
-      {5, 7, BudgetVerdict::Ok, false, 8, 1},
+      {5, 7, BudgetVerdict::StepLimit, false, 8, 1},
       {23, 33, BudgetVerdict::Ok, true, 33, 9},
-      {23, 32, BudgetVerdict::Ok, false, 33, 9},
+      {23, 32, BudgetVerdict::StepLimit, false, 33, 9},
       {23, 16, BudgetVerdict::StepLimit, false, 17, 3},
-      {23, 7, BudgetVerdict::Ok, false, 8, 1},
+      {23, 7, BudgetVerdict::StepLimit, false, 8, 1},
       {77, 47, BudgetVerdict::Ok, true, 47, 14},
       {77, 46, BudgetVerdict::StepLimit, false, 47, 13},
       {77, 23, BudgetVerdict::StepLimit, false, 24, 6},
-      {77, 7, BudgetVerdict::Ok, false, 8, 1},
+      {77, 7, BudgetVerdict::StepLimit, false, 8, 1},
       {3, 40, BudgetVerdict::Ok, true, 40, 10},
       {3, 39, BudgetVerdict::StepLimit, false, 40, 9},
       {3, 20, BudgetVerdict::StepLimit, false, 21, 5},
-      {3, 7, BudgetVerdict::Ok, false, 8, 1},
+      {3, 7, BudgetVerdict::StepLimit, false, 8, 1},
       {42, 55, BudgetVerdict::Ok, true, 55, 14},
       {42, 54, BudgetVerdict::StepLimit, false, 55, 13},
       {42, 27, BudgetVerdict::StepLimit, false, 28, 6},
-      {42, 7, BudgetVerdict::Ok, false, 8, 1},
+      {42, 7, BudgetVerdict::StepLimit, false, 8, 1},
   };
   for (const Pin& pin : pins) {
     Prng rng(pin.seed);
@@ -331,6 +331,40 @@ TEST(ParallelBranchBound, StepBudgetMatchesPinnedUsage) {
       EXPECT_EQ(guard.stepsUsed(), pin.stepsUsed) << where;
       EXPECT_EQ(r.nodesExplored, pin.nodes) << where;
     }
+  }
+}
+
+/// A guard that trips inside the root LP — the only open node, so no later
+/// node-pop tick sees the trip — leaves the search unproven after one node,
+/// and the verdict reaches the exact-ILP callers at every worker count and
+/// on the cold oracle (workers -1 below).
+TEST(ParallelBranchBound, StopReasonReachesExactIlpCallers) {
+  const ProblemInstance inst = testutil::smallRandomInstance(
+      9 * 271, 0.6, /*heterogeneous=*/true, /*unitCosts=*/false, 10, 12);
+  SolveBudget budget;
+  budget.maxSteps = 1;  // the root pop; the root LP trips on its first pivot
+  for (const int workers : {-1, 0, 1, 4}) {
+    const std::string where = "workers " + std::to_string(workers);
+    MipOptions mip;
+    mip.warmStart = workers >= 0;
+    mip.workers = std::max(workers, 0);
+    {
+      BudgetGuard guard(budget);
+      ExactIlpOptions eo;
+      eo.mip = mip;
+      eo.mip.guard = &guard;
+      const ExactIlpResult r = solveExactViaIlp(inst, Policy::Multiple, eo);
+      EXPECT_FALSE(r.proven) << where;
+      EXPECT_EQ(r.nodesExplored, 1) << where;
+      EXPECT_EQ(r.stopReason, BudgetVerdict::StepLimit) << where;
+    }
+    ProblemInstance copy = inst;
+    WarmIlpSession session(copy, mip);
+    BudgetGuard guard(budget);
+    const ExactIlpResult r = session.resolve(&guard);
+    EXPECT_FALSE(r.proven) << where;
+    EXPECT_EQ(r.nodesExplored, 1) << where;
+    EXPECT_EQ(r.stopReason, BudgetVerdict::StepLimit) << where;
   }
 }
 
@@ -381,6 +415,23 @@ TEST(ParallelBranchBound, CallerWorkspaceIsReusedWarm) {
     EXPECT_EQ(second.warm.coldSolves, 0) << "workers " << workers;
     EXPECT_EQ(second.warm.warmSolves, 1) << "workers " << workers;
   }
+}
+
+/// Without a caller workspace, worker 0 clones its workspace to the other
+/// workers after the root LP: only the root pays a cold two-phase solve, and
+/// every other cold solve is a dual fallback. (Cuts off keeps the search in
+/// the thousands of nodes, so the other workers do claim work.)
+TEST(ParallelBranchBound, WorkersCloneTheRootBasis) {
+  std::vector<Requests> values(13, 4);
+  values.push_back(6);  // m = 14
+  const ProblemInstance inst = fig8TwoPartition(values);
+  ExactIlpOptions po;
+  po.frontierCuts = false;
+  po.symmetryCuts = false;
+  po.mip.workers = 4;
+  const ExactIlpResult r = solveExactViaIlp(inst, Policy::Multiple, po);
+  ASSERT_TRUE(r.proven);
+  EXPECT_EQ(r.warm.coldSolves - r.warm.dualFallbacks, 1);
 }
 
 /// The granularity-bucketed path (integral objectives) through the sharded

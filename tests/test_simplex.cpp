@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "reference_simplex.hpp"
 #include "support/prng.hpp"
 #include "support/require.hpp"
 
@@ -206,7 +207,8 @@ TEST(Simplex, TransportationProblem) {
 /// the simplex optimum against brute-force evaluation of all basic points
 /// via a fine grid of box corners + constraint activity is overkill; instead
 /// verify (a) feasibility of the returned point and (b) weak duality via a
-/// sampled search that never beats the simplex.
+/// sampled search that never beats the simplex — for the production engine
+/// and the test reference (reference_simplex.hpp) alike.
 class SimplexRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimplexRandom, SampledPointsNeverBeatOptimum) {
@@ -232,17 +234,23 @@ TEST_P(SimplexRandom, SampledPointsNeverBeatOptimum) {
     m.addConstraint(Sense::LessEqual, b, terms);
   }
   const LpSolution s = solveLp(m);
+  const LpSolution ref = reference::solveLp(m);
   ASSERT_TRUE(s.optimal());  // box is bounded and the origin is feasible
-  // Returned point must be feasible.
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    double lhs = 0.0;
-    for (int j = 0; j < n; ++j)
-      lhs += rows[r][static_cast<std::size_t>(j)] * s.values[static_cast<std::size_t>(j)];
-    EXPECT_LE(lhs, rhs[r] + 1e-6);
-  }
-  for (int j = 0; j < n; ++j) {
-    EXPECT_GE(s.values[static_cast<std::size_t>(j)], -1e-9);
-    EXPECT_LE(s.values[static_cast<std::size_t>(j)], 10.0 + 1e-9);
+  ASSERT_TRUE(ref.optimal());
+  EXPECT_NEAR(ref.objective, s.objective, 1e-6);
+  // Returned points must be feasible.
+  for (const LpSolution* solution : {&s, &ref}) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      double lhs = 0.0;
+      for (int j = 0; j < n; ++j)
+        lhs += rows[r][static_cast<std::size_t>(j)] *
+               solution->values[static_cast<std::size_t>(j)];
+      EXPECT_LE(lhs, rhs[r] + 1e-6);
+    }
+    for (int j = 0; j < n; ++j) {
+      EXPECT_GE(solution->values[static_cast<std::size_t>(j)], -1e-9);
+      EXPECT_LE(solution->values[static_cast<std::size_t>(j)], 10.0 + 1e-9);
+    }
   }
   // 2000 random feasible samples never achieve a lower objective.
   for (int trial = 0; trial < 2000; ++trial) {
@@ -257,6 +265,7 @@ TEST_P(SimplexRandom, SampledPointsNeverBeatOptimum) {
     }
     if (!feasible) continue;
     EXPECT_GE(m.evaluateObjective(p), s.objective - 1e-6);
+    EXPECT_GE(m.evaluateObjective(p), ref.objective - 1e-6);
   }
 }
 
@@ -265,7 +274,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
 
 /// Exact reference: enumerate every basic point (vertex) of a small LP by
 /// solving all m-subsets of the active-constraint system, keep the feasible
-/// ones, and take the best objective. Slow but independent of the simplex.
+/// ones, and take the best objective. Slow but independent of the simplex;
+/// it anchors both the production engine and the test reference
+/// (reference_simplex.hpp) that the other LP tests compare against.
 class VertexEnumeration : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   // A bounded LP: n vars in [0, boxHi], k extra <= rows.
@@ -352,6 +363,8 @@ TEST_P(VertexEnumeration, SimplexMatchesEnumeratedOptimum) {
   }
   const LpSolution s = solveLp(m);
   ASSERT_TRUE(s.optimal());
+  const LpSolution ref = reference::solveLp(m);
+  ASSERT_TRUE(ref.optimal());
 
   // Enumeration: every vertex is the intersection of 3 active constraints.
   std::vector<std::vector<double>> a;
@@ -380,6 +393,7 @@ TEST_P(VertexEnumeration, SimplexMatchesEnumeratedOptimum) {
     }
   }
   EXPECT_NEAR(s.objective, best, 1e-6);
+  EXPECT_NEAR(ref.objective, best, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VertexEnumeration,

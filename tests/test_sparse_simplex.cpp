@@ -1,8 +1,7 @@
 // The sparse LU revised simplex (CSC matrix, Markowitz-pivoted basis
 // factorization, product-form eta updates with periodic refactorization)
-// against the dense tableau engine, which is kept behind
-// SimplexOptions::denseTableau as the independent oracle — the same harness
-// shape as the boxes-vs-rows sweep in test_bounded_simplex.
+// against the dense reference simplex of reference_simplex.hpp — the same
+// harness shape as the boxes-vs-rows sweep in test_bounded_simplex.
 #include "lp/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 
 #include "exact/exact_ilp.hpp"
 #include "lp/branch_bound.hpp"
+#include "reference_simplex.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 
@@ -52,24 +52,21 @@ Model randomBoxedLp(Prng& rng, int vars, int rows) {
   return m;
 }
 
-/// 120 random LPs: the sparse revised engine and the dense tableau oracle
-/// must agree on status and optimum.
-TEST(SparseSimplex, MatchesDenseOracleOnRandomLps) {
+/// 120 random LPs: the sparse revised engine and the dense reference must
+/// agree on status and optimum.
+TEST(SparseSimplex, MatchesReferenceOnRandomLps) {
   int optimalPairs = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     Prng rng(seed);
     const Model m = randomBoxedLp(rng, 7, 5);
 
-    SimplexOptions sparse;  // the default
-    SimplexOptions oracle;
-    oracle.denseTableau = true;
-    const LpSolution viaSparse = solveLp(m, sparse);
-    const LpSolution viaDense = solveLp(m, oracle);
+    const LpSolution viaSparse = solveLp(m);
+    const LpSolution viaReference = reference::solveLp(m);
 
-    ASSERT_EQ(viaSparse.status, viaDense.status) << "seed " << seed;
+    ASSERT_EQ(viaSparse.status, viaReference.status) << "seed " << seed;
     if (viaSparse.status != SolveStatus::Optimal) continue;
     ++optimalPairs;
-    EXPECT_NEAR(viaSparse.objective, viaDense.objective, 1e-6) << "seed " << seed;
+    EXPECT_NEAR(viaSparse.objective, viaReference.objective, 1e-6) << "seed " << seed;
     for (int j = 0; j < m.variableCount(); ++j) {
       EXPECT_GE(viaSparse.values[static_cast<std::size_t>(j)], m.lower(j) - 1e-7)
           << "seed " << seed;
@@ -80,10 +77,10 @@ TEST(SparseSimplex, MatchesDenseOracleOnRandomLps) {
   EXPECT_GT(optimalPairs, 40) << "random family degenerated";
 }
 
-/// Warm dual re-solves on the sparse engine against cold dense solves of the
-/// same perturbed model — both engines AND both solve paths, including the
-/// bound-flip stress of repeatedly shrinking and re-growing boxes.
-TEST(SparseSimplex, WarmResolveMatchesDenseColdSolve) {
+/// Warm dual re-solves on the sparse engine against cold reference solves of
+/// the same perturbed model — both engines AND both solve paths, including
+/// the bound-flip stress of repeatedly shrinking and re-growing boxes.
+TEST(SparseSimplex, WarmResolveMatchesReferenceColdSolve) {
   int optimalResolves = 0;
   for (std::uint64_t seed = 1; seed <= 70; ++seed) {
     Prng rng(seed * 131);
@@ -105,7 +102,7 @@ TEST(SparseSimplex, WarmResolveMatchesDenseColdSolve) {
     }
 
     LpWorkspace workspace(m, {});
-    EXPECT_EQ(workspace.tableauRows(), m.constraintCount());
+    EXPECT_EQ(workspace.rows(), m.constraintCount());
     if (workspace.solveCold() != SolveStatus::Optimal) continue;
 
     std::vector<double> lo(vars, 0.0), hi(vars, 10.0);
@@ -126,9 +123,7 @@ TEST(SparseSimplex, WarmResolveMatchesDenseColdSolve) {
       for (int j = 0; j < vars; ++j)
         reference.setBounds(j, lo[static_cast<std::size_t>(j)],
                             hi[static_cast<std::size_t>(j)]);
-      SimplexOptions oracle;
-      oracle.denseTableau = true;
-      const LpSolution fresh = solveLp(reference, oracle);
+      const LpSolution fresh = reference::solveLp(reference);
 
       ASSERT_EQ(warm, fresh.status) << "seed " << seed << " trial " << trial;
       if (warm != SolveStatus::Optimal) continue;
@@ -146,10 +141,10 @@ TEST(SparseSimplex, WarmResolveMatchesDenseColdSolve) {
   EXPECT_GE(optimalResolves, 100) << "perturbation family degenerated";
 }
 
-/// Branch-and-bound on the sparse engine against the dense oracle on 100
-/// random MIPs: same optima, same proven flags, and the sparse runs must
-/// actually exercise the eta file.
-TEST(SparseSimplex, MipMatchesDenseOracle) {
+/// Branch-and-bound on the sparse engine against the reference
+/// branch-and-bound on 100 random MIPs: same status and optima, every sparse
+/// search proven, and the sparse runs must actually exercise the eta file.
+TEST(SparseSimplex, MipMatchesReference) {
   long etaTotal = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     Prng rng(seed * 37);
@@ -169,30 +164,23 @@ TEST(SparseSimplex, MipMatchesDenseOracle) {
                       static_cast<double>(rng.uniformInt(10, 40)), row);
     }
 
-    MipOptions viaSparse;
-    MipOptions viaDense;
-    viaDense.lp.denseTableau = true;
-    const MipResult sparse = solveMip(m, viaSparse);
-    const MipResult dense = solveMip(m, viaDense);
+    const MipResult sparse = solveMip(m);
+    const reference::MipSolution oracle = reference::solveMip(m);
 
-    ASSERT_EQ(sparse.status, dense.status) << "seed " << seed;
-    ASSERT_EQ(sparse.proven, dense.proven) << "seed " << seed;
-    ASSERT_EQ(sparse.hasIncumbent(), dense.hasIncumbent()) << "seed " << seed;
+    ASSERT_EQ(sparse.status, oracle.status) << "seed " << seed;
+    ASSERT_TRUE(sparse.proven) << "seed " << seed;
+    ASSERT_EQ(sparse.hasIncumbent(), !oracle.values.empty()) << "seed " << seed;
     etaTotal += sparse.warm.etaCount;
-    EXPECT_EQ(dense.warm.etaCount, 0) << "seed " << seed;
-    EXPECT_EQ(dense.warm.basisNnz, 0) << "seed " << seed;
     if (!sparse.hasIncumbent()) continue;
-    EXPECT_NEAR(sparse.objective, dense.objective, 1e-9) << "seed " << seed;
-    EXPECT_EQ(sparse.warm.tableauRows, sparse.warm.structuralRows)
-        << "seed " << seed;
+    EXPECT_NEAR(sparse.objective, oracle.objective, 1e-9) << "seed " << seed;
   }
   EXPECT_GT(etaTotal, 0) << "sparse runs never appended an eta column";
 }
 
 /// Forced-refactorization boundary: with refactorEtaLimit = 1 every pivot
 /// triggers a refactorization and the eta file never carries more than one
-/// column — the solve must still match the dense oracle exactly.
-TEST(SparseSimplex, ForcedRefactorizationMatchesOracle) {
+/// column — the solve must still match the reference exactly.
+TEST(SparseSimplex, ForcedRefactorizationMatchesReference) {
   int refactoredRuns = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Prng rng(seed * 613);
@@ -200,14 +188,12 @@ TEST(SparseSimplex, ForcedRefactorizationMatchesOracle) {
 
     SimplexOptions eager;
     eager.refactorEtaLimit = 1;  // refactorize after every single pivot
-    SimplexOptions oracle;
-    oracle.denseTableau = true;
     const LpSolution viaEager = solveLp(m, eager);
-    const LpSolution viaDense = solveLp(m, oracle);
+    const LpSolution viaReference = reference::solveLp(m);
 
-    ASSERT_EQ(viaEager.status, viaDense.status) << "seed " << seed;
+    ASSERT_EQ(viaEager.status, viaReference.status) << "seed " << seed;
     if (viaEager.status == SolveStatus::Optimal) {
-      EXPECT_NEAR(viaEager.objective, viaDense.objective, 1e-6) << "seed " << seed;
+      EXPECT_NEAR(viaEager.objective, viaReference.objective, 1e-6) << "seed " << seed;
     }
 
     // The stats must show the forced policy at work on at least one pivoting
@@ -272,8 +258,8 @@ TEST(SparseSimplex, ZeroWidthBoxesPinVariables) {
 }
 
 /// End to end on the Section 5 ILP: the sparse engine drives the real solver
-/// stack (cuts, symmetry orderings, warm starts) to the dense oracle's cost.
-TEST(SparseSimplex, ExactIlpMatchesDenseOracleOnRandomInstances) {
+/// stack (cuts, symmetry orderings, warm starts) to the reference optimum.
+TEST(SparseSimplex, ExactIlpMatchesReferenceOnRandomInstances) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const ProblemInstance inst = testutil::smallRandomInstance(
@@ -281,17 +267,16 @@ TEST(SparseSimplex, ExactIlpMatchesDenseOracleOnRandomInstances) {
         /*minSize=*/6, /*maxSize=*/12);
     const Policy policy = seed % 2 == 0 ? Policy::Multiple : Policy::Upwards;
 
-    ExactIlpOptions viaSparse;
-    ExactIlpOptions viaDense;
-    viaDense.mip.lp.denseTableau = true;
-    const ExactIlpResult sparse = solveExactViaIlp(inst, policy, viaSparse);
-    const ExactIlpResult dense = solveExactViaIlp(inst, policy, viaDense);
+    const ExactIlpResult sparse = solveExactViaIlp(inst, policy);
+    const reference::MipSolution oracle = reference::solveExactIlp(inst, policy);
 
-    ASSERT_EQ(sparse.proven, dense.proven) << "seed " << seed;
-    ASSERT_EQ(sparse.feasible(), dense.feasible()) << "seed " << seed;
+    ASSERT_TRUE(sparse.proven) << "seed " << seed;
+    ASSERT_NE(oracle.status, SolveStatus::IterationLimit) << "seed " << seed;
+    ASSERT_EQ(sparse.feasible(), oracle.status == SolveStatus::Optimal)
+        << "seed " << seed;
     ++compared;
     if (!sparse.feasible()) continue;
-    EXPECT_NEAR(sparse.cost, dense.cost, 1e-9) << "seed " << seed;
+    EXPECT_NEAR(sparse.cost, oracle.objective, 1e-9) << "seed " << seed;
     EXPECT_TRUE(testutil::placementValid(inst, *sparse.placement, policy))
         << "seed " << seed;
   }
