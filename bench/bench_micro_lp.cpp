@@ -76,8 +76,12 @@ void BM_WorkspaceResolveBoundedBoxes(benchmark::State& state) {
   fo.integrality = FormulationOptions::Integrality::Relaxed;
   const IlpFormulation f(inst, Policy::Multiple, fo);
   lp::LpWorkspace workspace(f.model());
-  if (workspace.solveCold() != lp::SolveStatus::Optimal) {
-    state.SkipWithError("root LP not optimal");
+  // The drawn Multiple relaxation is infeasible at some sizes (s=32, 64):
+  // the skip names the status the root solve returned.
+  const lp::SolveStatus root = workspace.solveCold();
+  if (root != lp::SolveStatus::Optimal) {
+    state.SkipWithError(root == lp::SolveStatus::Infeasible ? "relaxation infeasible"
+                                                             : lp::toString(root).data());
     return;
   }
   // Alternate one placement indicator between fixed-closed and free — the

@@ -191,7 +191,7 @@ static int run(int argc, char** argv) {
     int failures = 0;
     TextTable t;
     t.setHeader({"overlay", "trees", "vertices", "shared", "feasible",
-                 "replicas", "dfs", "resolves", "valid"});
+                 "replicas", "dfs", "resolves", "dirty", "compactions", "valid"});
     for (std::size_t i = 0; i < genCount; ++i) {
       const MultitreeInstance mt = generateMultitreeInstance(mc, seed, i);
       const MultitreeSolveResult result = solveMultitreeClosest(mt);
@@ -207,6 +207,8 @@ static int run(int argc, char** argv) {
                 std::to_string(result.replicaCount()),
                 std::to_string(result.stats.dfsNodes),
                 std::to_string(result.stats.dpResolves),
+                std::to_string(result.stats.dirtyRecomputes),
+                std::to_string(result.stats.compactions),
                 valid ? "yes" : "NO"});
     }
     std::cout << t.render();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/decomposition.hpp"
 #include "core/frontier.hpp"
@@ -41,10 +42,15 @@ namespace treeplace {
 // (prev = index into acc, child = 1 when the bag holds a replica); stores
 // without reconstruction ignore them.
 //
-// The drivers decide the schedule, the child order and what is kept: the
-// batch driver (backpointer arena), the streaming driver (stack slab) and
-// IncrementalSolver (epoch-stamped memo) all fold through these kernels, so
-// every driver of one policy computes the same frontiers.
+// The drivers (core/frontier_drivers) decide the schedule, the child order
+// and what is kept:
+//   - solveFrontierBatch: one pass into a backpointer arena;
+//   - countFrontierStreaming: a width-capped stack slab, count only;
+//   - FrontierMemo: an epoch-stamped memo that re-folds only dirty bags,
+//     under IncrementalSolver (with reconstruction on top) and the multitree
+//     search (ConstrainedClosestKernel, one memo per member tree).
+// All of them fold through these kernels, so every driver of one policy
+// computes the same frontiers.
 
 /// Seed and child merge of the 2-D (count, flow) kernels: a client bag
 /// starts at (0 replicas, r_i unserved), and children convolve plainly —
@@ -111,8 +117,55 @@ class ClosestKernel : public FlowKernelBase {
     return size;
   }
 
- private:
+ protected:
   Requests W_;
+};
+
+/// Per-vertex placement constraint of ConstrainedClosestKernel. Its count
+/// dimension is cost-weighted: a zero-cost replica is paid for outside the
+/// kernel (the multitree search counts a shared gateway once, globally).
+enum class VertexConstraint : std::uint8_t {
+  Free,        ///< optional replica at cost 1
+  FreeZero,    ///< optional replica at cost 0
+  Forced,      ///< mandatory replica at cost 1
+  ForcedZero,  ///< mandatory replica at cost 0
+  Forbidden,   ///< no replica
+};
+
+/// Closest under a VertexConstraint per vertex: the conditional optimum the
+/// multitree search probes. Free is ClosestKernel's fold. The other states
+/// keep the same place point k0: a zero-cost optional replica keeps the skip
+/// entries before k0 and dominates the rest with (count_k0, 0); a mandatory
+/// replica keeps only its own point, and none when nothing fits under W.
+class ConstrainedClosestKernel : public ClosestKernel {
+ public:
+  ConstrainedClosestKernel(const ProblemInstance& instance,
+                           std::span<const VertexConstraint> constraint)
+      : ClosestKernel(instance), constraint_(constraint) {}
+
+  /// Only the internal-count half of ClosestKernel::chainCap holds: a forced
+  /// replica may serve no client at all.
+  static std::int32_t chainCap(const TreeDecomposition& d, BagId b) {
+    return static_cast<std::int32_t>(d.internalsInCone(b) - 1);
+  }
+
+  template <typename Store, typename Handle>
+  Handle fold(Store& s, Handle acc, const TreeDecomposition& d, BagId b,
+              std::int32_t cap) const {
+    const VertexConstraint rule = constraint_[static_cast<std::size_t>(d.anchor(b))];
+    if (rule == VertexConstraint::Free) return ClosestKernel::fold(s, acc, d, b, cap);
+    if (rule == VertexConstraint::Forbidden) return acc;
+    const std::size_t size = s.size(acc);
+    const std::size_t k0 =
+        placePoint(size, W_, [&](std::size_t k) { return s.at(acc, k).flow; });
+    Entry place{-1, 0, static_cast<std::int32_t>(k0), 1};
+    if (k0 < size)
+      place.count = s.at(acc, k0).count + (rule == VertexConstraint::Forced ? 1 : 0);
+    return s.keepPrefix(acc, rule == VertexConstraint::FreeZero ? k0 : 0, place);
+  }
+
+ private:
+  std::span<const VertexConstraint> constraint_;
 };
 
 /// Multiple with a per-vertex capacity: a replica at v absorbs

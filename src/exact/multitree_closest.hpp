@@ -24,9 +24,9 @@ struct MultitreeSolveOptions {
 
 struct MultitreeSolveStats {
   std::size_t dfsNodes = 0;      ///< branch-and-bound nodes expanded
-  std::size_t dpResolves = 0;    ///< per-tree constrained-DP resolves
-  std::size_t dirtyRecomputes = 0;  ///< vertex frontiers recomputed lazily
-  std::size_t fullRebuilds = 0;  ///< arena compactions (full DP rebuilds)
+  std::size_t dpResolves = 0;    ///< per-tree memo re-folds with dirty bags
+  std::size_t dirtyRecomputes = 0;  ///< bag frontiers recomputed by re-folds
+  std::size_t compactions = 0;   ///< memo arena copy-compactions (recompute nothing)
   std::size_t lexicoTests = 0;   ///< conditional-minimum probes in the scan
   bool exhausted = false;        ///< maxDfsNodes tripped; result not proven
 };
@@ -52,9 +52,11 @@ struct MultitreeSolveResult {
 /// overlay) — but the *objective* couples the trees through the shared
 /// gateways. The solver runs branch-and-bound over gateway in/out decisions:
 /// for a fixed decision vector each tree contributes its private optimum via
-/// a constrained frontier DP (forced gateways place at cost 0, forbidden
-/// ones may not place), and undecided gateways relax to optional cost-0
-/// placements, which lower-bounds every completion. The lexicographic
+/// ConstrainedClosestKernel (core/frontier_kernels) on one FrontierMemo per
+/// member tree (core/frontier_drivers): forced gateways place at cost 0,
+/// forbidden ones may not place, and undecided gateways relax to optional
+/// cost-0 placements, which lower-bounds every completion. Re-constraining
+/// a vertex stamps its root path, so a probe re-folds only those bags. The lexicographic
 /// refinement then re-uses the same machinery as an ascending-global-id
 /// greedy scan: accept id v iff forcing it (cost 0 shared / cost 1 private)
 /// keeps the conditional optimum at m*. Rejections are monotone — a

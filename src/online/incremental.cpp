@@ -3,155 +3,17 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/frontier_drivers.hpp"
 #include "exact/multiple_homogeneous.hpp"
 #include "support/require.hpp"
 
 namespace treeplace {
-namespace detail {
-
-template <typename Entry>
-void FrontierCacheState<Entry>::init(const TreeDecomposition& decomp,
-                                     bool withCombos) {
-  *this = FrontierCacheState{};
-  // Reserve past the 16n compaction gate (compactIfBloated): the slab then
-  // reaches the compaction decision before its first doubling reallocation,
-  // so steady-state pushes never pay a multi-MiB slab copy inside a timed
-  // re-solve. The combo-less bounds cache sees no latency bar and keeps the
-  // modest reserve instead.
-  arena.reset((withCombos ? 17 : 4) * decomp.bagCount());
-  grow(decomp, withCombos);
-}
-
-template <typename Entry>
-void FrontierCacheState<Entry>::grow(const TreeDecomposition& decomp,
-                                     bool withCombos) {
-  const std::size_t n = decomp.bagCount();
-  const std::size_t oldN = frontier.size();
-  frontier.resize(n);
-  computedEpoch.resize(n, 0);
-  comboCap.resize(n, -1);
-  chosenEntry.resize(n, -1);
-  chosenEpoch.resize(n, 0);
-  replicaBit.resize(n, 0);
-  if (!withCombos) return;
-  std::vector<std::int32_t> newOffset(n, 0);
-  std::vector<std::int32_t> newCount(n, 0);
-  std::int32_t running = 0;
-  for (const BagId v : decomp.schedule()) {
-    const auto vi = static_cast<std::size_t>(v);
-    newOffset[vi] = running;
-    newCount[vi] = static_cast<std::int32_t>(decomp.mergeChildren(v).size());
-    running += newCount[vi];
-  }
-  std::vector<FrontierSpan> newSpans(static_cast<std::size_t>(running));
-  std::vector<VertexId> newChild(static_cast<std::size_t>(running), kNoVertex);
-  // Old vertices keep their prefix-convolution spans together with the child
-  // each slot folded in; the prefix-reuse scan revalidates the recorded
-  // children against the rebuilt merge order, so a reshuffle (the grown
-  // subtree got heavier) degrades to a partial or full re-convolve instead
-  // of silently pairing spans with the wrong child.
-  for (std::size_t vi = 0; vi < oldN; ++vi) {
-    const auto keep =
-        static_cast<std::size_t>(std::min(comboCount[vi], newCount[vi]));
-    for (std::size_t ci = 0; ci < keep; ++ci) {
-      newSpans[static_cast<std::size_t>(newOffset[vi]) + ci] =
-          comboSpans[static_cast<std::size_t>(comboOffset[vi]) + ci];
-      newChild[static_cast<std::size_t>(newOffset[vi]) + ci] =
-          comboChild[static_cast<std::size_t>(comboOffset[vi]) + ci];
-    }
-  }
-  comboSpans = std::move(newSpans);
-  comboChild = std::move(newChild);
-  comboOffset = std::move(newOffset);
-  comboCount = std::move(newCount);
-}
-
-template struct FrontierCacheState<FrontierEntry>;
-template struct FrontierCacheState<QosFrontierEntry>;
-
-}  // namespace detail
-
-namespace {
-
-/// Copy-compact the persistent arena once dead generations dominate: stage
-/// every clean vertex's spans, reset the slab, re-push. Spans are indices and
-/// within-span backpointers are span-relative, so relocation preserves the
-/// reconstruction walk; dirty vertices are recomputed by the next resolve, so
-/// their stale spans are simply dropped.
-template <typename Entry>
-void compactIfBloated(detail::FrontierCacheState<Entry>& cache, const Tree& tree,
-                      const DirtyTracker& tracker, FrontierCacheStats& stats) {
-  const std::size_t n = tree.vertexCount();
-  const std::size_t total = cache.arena.entryCount();
-  if (total <= 16 * n) return;  // smaller than a few scratch generations
-  // The live-scan below is O(n); once the slab passes the floor, rerun it
-  // only after another ~n entries of churn, not on every resolve.
-  if (total < cache.nextCompactCheck) return;
-
-  const bool withCombos = !cache.comboOffset.empty();
-  const auto isClean = [&](std::size_t vi) {
-    return cache.computedEpoch[vi] >= tracker.dirtySince(static_cast<VertexId>(vi));
-  };
-  std::size_t live = 0;
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(vi)) continue;
-    live += cache.frontier[vi].size;
-    if (withCombos) {
-      const auto base = static_cast<std::size_t>(cache.comboOffset[vi]);
-      for (std::int32_t ci = 0; ci < cache.comboCount[vi]; ++ci)
-        live += cache.comboSpans[base + static_cast<std::size_t>(ci)].size;
-    }
-  }
-  // Prefix reuse keeps per-resolve churn small, so a generous dead:live
-  // ratio trades a few MiB of slab for compaction spikes rare enough to
-  // stay out of the p99 re-solve latency.
-  if (total <= 6 * live + 8 * n) {
-    cache.nextCompactCheck = total + n;
-    return;
-  }
-
-  std::vector<Entry> stage;
-  stage.reserve(live);
-  const auto copySpan = [&](FrontierSpan& span) {
-    const auto begin = static_cast<std::uint32_t>(stage.size());
-    const auto view = cache.arena.view(span);
-    stage.insert(stage.end(), view.begin(), view.end());
-    span = FrontierSpan{begin, span.size};
-  };
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (!isClean(vi)) {
-      // The dirty vertex's spans are dropped wholesale, so its combo chain
-      // must not be prefix-reused by the upcoming recompute.
-      cache.frontier[vi] = FrontierSpan{};
-      cache.comboCap[vi] = -1;
-      continue;
-    }
-    copySpan(cache.frontier[vi]);
-    if (withCombos) {
-      const auto base = static_cast<std::size_t>(cache.comboOffset[vi]);
-      for (std::int32_t ci = 0; ci < cache.comboCount[vi]; ++ci)
-        copySpan(cache.comboSpans[base + static_cast<std::size_t>(ci)]);
-    }
-  }
-  cache.arena.reset(std::max(2 * stage.size(), 4 * n));
-  for (const Entry& e : stage) cache.arena.push(e);
-  cache.nextCompactCheck = 0;
-  ++stats.compactions;
-}
-
-}  // namespace
 
 IncrementalSolver::IncrementalSolver(ProblemInstance& instance, OnlinePolicy policy)
-    : instance_(&instance), policy_(policy),
-      tracker_(instance.tree.vertexCount()) {
+    : instance_(&instance), policy_(policy) {
   instance.validate();
   stats_.trackedVertices = instance.tree.vertexCount();
   const TreeDecomposition decomp(instance.tree);
-  if (policy_ == OnlinePolicy::ClosestQos)
-    cacheQos_.init(decomp, true);
-  else
-    cache2d_.init(decomp, true);
+  withMemo([&](auto& memo) { memo.init(decomp, true); });
   rebuildPositions();
 }
 
@@ -170,6 +32,9 @@ void IncrementalSolver::rebuildPositions() {
   pathMark_.resize(n, 0);
   clientMark_.resize(n, 0);
   remainingScratch_.resize(n, 0);
+  chosenEntry_.resize(n, -1);
+  chosenEpoch_.resize(n, 0);
+  replicaBit_.resize(n, 0);
   if (policy_ == OnlinePolicy::Multiple)
     serverTakes_.resize(n);
   else
@@ -179,20 +44,18 @@ void IncrementalSolver::rebuildPositions() {
 void IncrementalSolver::noteDelta(const DeltaApplication& app) {
   if (app.structural) {
     const TreeDecomposition decomp(instance_->tree);
-    if (policy_ == OnlinePolicy::ClosestQos)
-      cacheQos_.grow(decomp, true);
-    else
-      cache2d_.grow(decomp, true);
+    withMemo([&](auto& memo) { memo.grow(decomp); });
     stats_.trackedVertices = instance_->tree.vertexCount();
     rebuildPositions();
     // The incumbent assignment is sized for the old vertex range; the next
     // feasible resolve rebuilds it wholesale.
     assignRebuildNeeded_ = true;
   }
-  stats_.invalidations += tracker_.note(instance_->tree, app, &pendingDirty_);
+  withMemo([&](auto& memo) {
+    stats_.invalidations += memo.stamp(instance_->tree, app.touched, app.global);
+  });
   if (app.global) {
     ++stats_.globalInvalidations;
-    pendingGlobal_ = true;
     // W is every Multiple server's absorption budget: no assignment survives
     // a homogeneous capacity shift, so repair cannot patch it. Closest
     // assignments never read W — they follow the (possibly flipped) replica
@@ -251,42 +114,30 @@ std::optional<Placement> IncrementalSolver::resolve(BudgetGuard* guard) {
 
 void IncrementalSolver::invalidateCaches() {
   const TreeDecomposition decomp(instance_->tree);
-  if (policy_ == OnlinePolicy::ClosestQos)
-    cacheQos_.init(decomp, true);
-  else
-    cache2d_.init(decomp, true);
+  withMemo([&](auto& memo) { memo.init(decomp, true); });
+  chosenEntry_.clear();
+  chosenEpoch_.clear();
+  replicaBit_.clear();
   rebuildPositions();
-  pendingDirty_.clear();
-  pendingGlobal_ = true;
   pendingChangedClients_.clear();
   flips_.clear();
   placement_.reset();
   assignRebuildNeeded_ = true;
 }
 
-void IncrementalSolver::orderPendingDirty() {
-  std::sort(pendingDirty_.begin(), pendingDirty_.end(),
-            [this](VertexId a, VertexId b) {
-              return postPos_[static_cast<std::size_t>(a)] <
-                     postPos_[static_cast<std::size_t>(b)];
-            });
-  pendingDirty_.erase(std::unique(pendingDirty_.begin(), pendingDirty_.end()),
-                      pendingDirty_.end());
-}
-
-// Mirror of BasicFrontierDp::reconstruct over the cached span tables, with
+// Mirror of BasicFrontierDp::reconstruct over the memo's span tables, with
 // subtree pruning: a vertex reached with the same entry index as the last
-// walk and no mutation anywhere in its subtree since (chosenEpoch >=
-// dirtySince — the dirty set is closed under parents, so the single stamp
-// check covers the whole subtree) still has exact replicaBit state below it,
-// and the walk skips the entire subtree. A localized mutation therefore
-// costs O(changed region), not O(s), per reconstruction. Replica bits that
-// flip are collected into flips_ — they drive the assignment repair.
+// walk and no stamp anywhere in its subtree since (chosenEpoch >= dirtySince
+// — the dirty set is closed under parents, so the single stamp check covers
+// the whole subtree) still has exact replicaBit_ state below it, and the walk
+// skips the entire subtree. A localized mutation therefore costs O(changed
+// region), not O(s), per reconstruction. Replica bits that flip are
+// collected into flips_ — they drive the assignment repair.
 template <typename Entry>
-void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
+void IncrementalSolver::reconstruct(const FrontierMemo<Entry>& memo,
                                     std::int32_t rootEntryIndex) {
   const TreeDecomposition decomp(instance_->tree);
-  const std::uint64_t epoch = tracker_.epoch();
+  const std::uint64_t epoch = memo.epoch();
   struct Todo {
     BagId node;
     std::int32_t entryIndex;
@@ -296,27 +147,26 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
     const Todo todo = stack.back();
     stack.pop_back();
     const auto ni = static_cast<std::size_t>(todo.node);
-    if (cache.chosenEntry[ni] == todo.entryIndex &&
-        cache.chosenEpoch[ni] >= tracker_.dirtySince(todo.node)) {
-      cache.chosenEpoch[ni] = epoch;
+    if (chosenEntry_[ni] == todo.entryIndex && chosenEpoch_[ni] >= memo.dirtySince(todo.node)) {
+      chosenEpoch_[ni] = epoch;
       continue;  // same choice, untouched subtree: bits below are exact
     }
-    cache.chosenEntry[ni] = todo.entryIndex;
-    cache.chosenEpoch[ni] = epoch;
+    chosenEntry_[ni] = todo.entryIndex;
+    chosenEpoch_[ni] = epoch;
     if (decomp.anchorIsClient(todo.node)) continue;
     const Entry& entry =
-        cache.arena.at(cache.frontier[ni], static_cast<std::size_t>(todo.entryIndex));
+        memo.arena.at(memo.frontier[ni], static_cast<std::size_t>(todo.entryIndex));
     const char newBit = entry.child == 1 ? 1 : 0;
-    if (cache.replicaBit[ni] != newBit) {
-      cache.replicaBit[ni] = newBit;
+    if (replicaBit_[ni] != newBit) {
+      replicaBit_[ni] = newBit;
       flips_.push_back(decomp.anchor(todo.node));
     }
     const std::span<const BagId> children = decomp.mergeChildren(todo.node);
-    const auto base = static_cast<std::size_t>(cache.comboOffset[ni]);
+    const auto base = static_cast<std::size_t>(memo.comboOffset[ni]);
     std::int32_t combIdx = entry.prev;
     for (std::size_t ci = children.size(); ci-- > 0;) {
-      const Entry& comb = cache.arena.at(cache.comboSpans[base + ci],
-                                         static_cast<std::size_t>(combIdx));
+      const Entry& comb =
+          memo.arena.at(memo.comboSpans[base + ci], static_cast<std::size_t>(combIdx));
       stack.push_back({children[ci], comb.child});
       combIdx = comb.prev;
     }
@@ -325,101 +175,39 @@ void IncrementalSolver::reconstruct(detail::FrontierCacheState<Entry>& cache,
 
 std::optional<Placement> IncrementalSolver::resolveOnce(BudgetGuard* guard) {
   if (policy_ == OnlinePolicy::ClosestQos)
-    return resolveWith(ClosestQosKernel(*instance_), cacheQos_, guard);
+    return resolveWith(ClosestQosKernel(*instance_), memoQos_, guard);
   if (policy_ == OnlinePolicy::Multiple)
-    return resolveWith(MultipleKernel::homogeneous(*instance_), cache2d_, guard);
-  return resolveWith(ClosestKernel(*instance_), cache2d_, guard);
+    return resolveWith(MultipleKernel::homogeneous(*instance_), memo2d_, guard);
+  return resolveWith(ClosestKernel(*instance_), memo2d_, guard);
 }
 
-// The memo driver: the batch driver's recurrence (same kernel, arena store,
-// canonical merge order and chain caps) run only over dirty bags, so every
-// recomputed frontier is bit-identical to what a scratch solve would build
-// — the incremental placement therefore *equals* the scratch placement, not
-// merely its cost. One deliberate divergence from the batch driver: a QoS
-// fold that kills every state does not end the pass. The empty span is
-// carried forward — it empties every ancestor accumulator, so the root
-// frontier ends without a zero-flow entry and the verdict (infeasible) is
-// identical, but the cache stays coherent for the next mutation.
+// One deliberate divergence from the batch driver: a QoS fold that kills
+// every state does not end the pass. The empty span is carried forward — it
+// empties every ancestor accumulator, so the root frontier ends without a
+// zero-flow entry and the verdict (infeasible) is identical, but the memo
+// stays coherent for the next mutation.
 template <typename Kernel>
 std::optional<Placement> IncrementalSolver::resolveWith(
-    const Kernel& kernel, detail::FrontierCacheState<typename Kernel::Entry>& cache,
-    BudgetGuard* guard) {
+    const Kernel& kernel, FrontierMemo<typename Kernel::Entry>& memo, BudgetGuard* guard) {
   const std::size_t n = instance_->tree.vertexCount();
-  compactIfBloated(cache, instance_->tree, tracker_, stats_);
-  ArenaStore<typename Kernel::Entry> store(cache.arena);
+  if (memo.compactIfBloated()) ++stats_.compactions;
   const TreeDecomposition decomp(instance_->tree);
-
-  std::size_t misses = 0;
-  const auto recompute = [&](BagId b) {
-    // Safepoint BEFORE the epoch stamp: an interrupted resolve leaves this
-    // bag dirty and everything already recomputed exact.
-    if (guard != nullptr) guard->checkpoint();
-    const auto bi = static_cast<std::size_t>(b);
-    ++misses;
-    const std::uint64_t prevEpoch = cache.computedEpoch[bi];
-    cache.computedEpoch[bi] = tracker_.epoch();
-    if (decomp.anchorIsClient(b)) {
-      cache.frontier[bi] = store.seed(kernel.seed(decomp, b));
-      return;
-    }
-
-    const std::int32_t cap = Kernel::chainCap(decomp, b);
-    const auto comboBase = static_cast<std::size_t>(cache.comboOffset[bi]);
-    const std::span<const BagId> children = decomp.mergeChildren(b);
-    // Prefix reuse: the cached combo chain is still exact up to the first
-    // slot whose recorded child diverges from the current merge order or
-    // whose child frontier was recomputed after the chain was built
-    // (children run first in postorder, so their stamps are current).
-    // Capacities, compute times and QoS budgets enter only the fold, never
-    // the chain (uplinks are immutable), so a global capacity change re-folds
-    // every bag without re-convolving anything.
-    std::size_t f = 0;
-    if (prevEpoch > 0 && cache.comboCap[bi] == cap) {
-      while (f < children.size() && cache.comboChild[comboBase + f] == children[f] &&
-             cache.computedEpoch[static_cast<std::size_t>(children[f])] <= prevEpoch)
-        ++f;
-    }
-    FrontierSpan acc = f == 0 ? store.unit() : cache.comboSpans[comboBase + f - 1];
-    for (std::size_t ci = f; ci < children.size(); ++ci) {
-      acc = kernel.merge(store, acc, cache.frontier[static_cast<std::size_t>(children[ci])],
-                         decomp, children[ci], cap);
-      cache.comboSpans[comboBase + ci] = acc;
-      cache.comboChild[comboBase + ci] = children[ci];
-    }
-    cache.comboCap[bi] = cap;
-    cache.frontier[bi] = kernel.fold(store, acc, decomp, b, cap);
-  };
-
-  // A global invalidation (or the first solve) sweeps everything; otherwise
-  // exactly the stamped bags, in schedule order, are recomputed — the clean
-  // rest of the tree is never even looked at.
-  const auto recomputeDirty = [&](std::span<const BagId> bags) {
-    for (const BagId b : bags)
-      if (cache.computedEpoch[static_cast<std::size_t>(b)] < tracker_.dirtySince(b))
-        recompute(b);
-  };
-  if (pendingGlobal_) {
-    recomputeDirty(decomp.schedule());
-  } else {
-    orderPendingDirty();
-    recomputeDirty(pendingDirty_);
-  }
-  pendingDirty_.clear();
-  pendingGlobal_ = false;
+  const std::size_t misses = memo.refold(kernel, decomp, guard);
   stats_.misses += misses;
   stats_.hits += n - misses;
-  stats_.arenaEntries = cache.arena.entryCount();
-  stats_.arenaBytes = cache.arena.bytes();
+  stats_.arenaEntries = memo.arena.entryCount();
+  stats_.arenaBytes = memo.arena.bytes();
 
+  const ArenaStore<typename Kernel::Entry> store(memo.arena);
   const std::int32_t root =
-      rootEntry(store, cache.frontier[static_cast<std::size_t>(decomp.rootBag())]);
+      rootEntry(store, memo.frontier[static_cast<std::size_t>(decomp.rootBag())]);
   if (root < 0) return std::nullopt;
   flips_.clear();
-  reconstruct(cache, root);
+  reconstruct(memo, root);
   if (policy_ == OnlinePolicy::Multiple)
-    refreshMultipleAssignment(cache.replicaBit);
+    refreshMultipleAssignment(replicaBit_);
   else
-    refreshClosestAssignment(cache.replicaBit);
+    refreshClosestAssignment(replicaBit_);
   return *placement_;
 }
 
@@ -702,19 +490,18 @@ void IncrementalSolver::repairMultipleAssignment(
                       "multiple repair left unassigned demand — locality bug");
 }
 
-IncrementalBounds::IncrementalBounds(ProblemInstance& instance)
-    : instance_(&instance), tracker_(instance.tree.vertexCount()) {
+IncrementalBounds::IncrementalBounds(ProblemInstance& instance) : instance_(&instance) {
   stats_.trackedVertices = instance.tree.vertexCount();
-  cache_.init(TreeDecomposition(instance.tree), false);
+  memo_.init(TreeDecomposition(instance.tree), false);
   refresh();
 }
 
 void IncrementalBounds::noteDelta(const DeltaApplication& app) {
   if (app.structural) {
-    cache_.grow(TreeDecomposition(instance_->tree), false);
+    memo_.grow(TreeDecomposition(instance_->tree));
     stats_.trackedVertices = instance_->tree.vertexCount();
   }
-  stats_.invalidations += tracker_.note(instance_->tree, app);
+  stats_.invalidations += memo_.stamp(instance_->tree, app.touched, app.global);
   if (app.global) ++stats_.globalInvalidations;
 }
 
@@ -730,22 +517,17 @@ DeltaApplication IncrementalBounds::apply(const InstanceDelta& delta) {
 // are linear scans rerun wholesale.
 void IncrementalBounds::refresh() {
   const ProblemInstance& instance = *instance_;
-  compactIfBloated(cache_, instance.tree, tracker_, stats_);
-  ArenaStore<FrontierEntry> store(cache_.arena);
+  if (memo_.compactIfBloated()) ++stats_.compactions;
+  ArenaStore<FrontierEntry> store(memo_.arena);
   const TreeDecomposition decomp(instance.tree);
-  for (const BagId b : decomp.schedule()) {
-    const auto bi = static_cast<std::size_t>(b);
-    if (cache_.computedEpoch[bi] >= tracker_.dirtySince(b)) {
-      ++stats_.hits;
-      continue;
-    }
-    ++stats_.misses;
-    cache_.computedEpoch[bi] = tracker_.epoch();
-    cache_.frontier[bi] = detail::relaxationStep(instance, decomp, b, store, cache_.frontier);
-  }
-  stats_.arenaEntries = cache_.arena.entryCount();
-  stats_.arenaBytes = cache_.arena.bytes();
-  floors_ = detail::deriveRelaxationFloors(instance, cache_.arena, cache_.frontier);
+  const std::size_t misses = memo_.refoldWith(decomp, nullptr, [&](BagId b, std::uint64_t) {
+    return detail::relaxationStep(instance, decomp, b, store, memo_.frontier);
+  });
+  stats_.misses += misses;
+  stats_.hits += instance.tree.vertexCount() - misses;
+  stats_.arenaEntries = memo_.arena.entryCount();
+  stats_.arenaBytes = memo_.arena.bytes();
+  floors_ = detail::deriveRelaxationFloors(instance, memo_.arena, memo_.frontier);
 }
 
 }  // namespace treeplace

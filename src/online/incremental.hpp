@@ -7,6 +7,7 @@
 
 #include "core/bounds.hpp"
 #include "core/frontier.hpp"
+#include "core/frontier_drivers.hpp"
 #include "core/placement.hpp"
 #include "online/delta.hpp"
 #include "support/budget.hpp"
@@ -56,66 +57,19 @@ struct FrontierCacheStats {
   }
 };
 
-namespace detail {
-
-/// Per-vertex memoized frontier state of one policy: node frontiers, the
-/// per-(node, child-prefix) convolution frontiers the backpointer walk
-/// needs, and the epoch stamps that validate them. Entries live in one
-/// persistent arena; spans are indices, so they survive arena growth, and a
-/// copy-compaction pass recycles the slab once dead generations dominate.
-template <typename Entry>
-struct FrontierCacheState {
-  BasicFrontierArena<Entry> arena;
-  std::vector<FrontierSpan> frontier;      ///< per vertex
-  std::vector<FrontierSpan> comboSpans;    ///< flat, comboOffset-indexed
-  /// Child convolved into each combo slot when the chain was built. Prefix
-  /// reuse compares this against the current merge order, so a structural
-  /// delta that reshuffles a vertex's merge order (subtree sizes shifted)
-  /// silently falls back to re-convolving from the first divergence.
-  std::vector<VertexId> comboChild;
-  std::vector<std::int32_t> comboOffset;   ///< per vertex
-  std::vector<std::int32_t> comboCount;    ///< children count at layout time
-  std::vector<std::uint64_t> computedEpoch;  ///< 0 = never computed
-  /// Count cap the vertex's combo chain was built with (-1: chain invalid).
-  /// A dirty vertex whose cap is unchanged reuses the prefix combos of its
-  /// clean children and re-convolves only from the first changed child on —
-  /// the recompute then costs O(changed suffix), not O(degree).
-  std::vector<std::int32_t> comboCap;
-  /// Reconstruction memo: the entry index the last backpointer walk chose at
-  /// this vertex, the mutation epoch of that walk, and the resulting replica
-  /// bit. A walk that reaches a vertex with the same entry index and no
-  /// mutation in its subtree since (chosenEpoch >= dirtySince) skips the
-  /// whole subtree — its bits are still exact.
-  std::vector<std::int32_t> chosenEntry;
-  std::vector<std::uint64_t> chosenEpoch;
-  std::vector<char> replicaBit;
-  /// Arena size below which the compaction live-scan is skipped entirely;
-  /// bumped after every scan so the O(n) walk amortizes over arena growth
-  /// instead of running on every resolve.
-  std::size_t nextCompactCheck = 0;
-
-  void init(const TreeDecomposition& decomp, bool withCombos);
-  /// Structural growth: extend per-bag tables, remap the flat combo table
-  /// onto the new schedule's layout (old bags keep their spans; the attach
-  /// target is dirty anyway).
-  void grow(const TreeDecomposition& decomp, bool withCombos);
-};
-
-}  // namespace detail
-
 /// Incremental re-optimization engine for the polynomial homogeneous solvers
 /// (Closest, Multiple via the frontier DP, Closest+QoS).
 ///
-/// The solver is the epoch-stamped memo driver of the frontier kernels
-/// (core/frontier_kernels). It memoizes every subtree's Pareto frontier (and
-/// the prefix convolutions the reconstruction walk needs) in a persistent
-/// arena, keyed by epoch counters: a mutation stamps only the touched
-/// vertices and their root paths (DirtyTracker), so a re-solve recomputes
-/// O(depth) frontiers instead of O(s) and reuses everything else. A
-/// recompute folds the same kernel through the same arena store, merge order
-/// and caps as the batch solvers, so the incremental placement is
-/// bit-identical to a from-scratch solve after every step — the equivalence
-/// tests pin this down per policy.
+/// The subtree frontiers live in a FrontierMemo (core/frontier_drivers): a
+/// mutation stamps only the touched vertices and their root paths, and a
+/// re-solve re-folds those O(depth) bags through the policy's kernel
+/// (core/frontier_kernels) with the batch solvers' merge order and caps,
+/// reusing everything else. What the solver adds on top is its own:
+/// translating deltas into stamps, the backpointer reconstruction (which
+/// skips every subtree whose choice and stamps are unchanged) and the repair
+/// of the incumbent assignment. The incremental placement is bit-identical to
+/// a from-scratch solve after every step — the equivalence tests pin this
+/// down per policy.
 ///
 /// The instance is shared with the caller (scratch comparisons and the
 /// mutation driver read it); it must outlive the solver and mutate only
@@ -125,7 +79,6 @@ class IncrementalSolver {
   IncrementalSolver(ProblemInstance& instance, OnlinePolicy policy);
 
   OnlinePolicy policy() const { return policy_; }
-  std::uint64_t epoch() const { return tracker_.epoch(); }
 
   /// Apply one mutation to the shared instance and invalidate the affected
   /// subtree caches (touched vertices + root paths, O(depth) stamps).
@@ -160,23 +113,27 @@ class IncrementalSolver {
 
  private:
   void noteDelta(const DeltaApplication& app);
-  /// One resolve attempt through the policy's kernel (the memo driver).
+  /// One resolve attempt through the policy's kernel on its memo.
   std::optional<Placement> resolveOnce(BudgetGuard* guard);
   template <typename Kernel>
-  std::optional<Placement> resolveWith(
-      const Kernel& kernel, detail::FrontierCacheState<typename Kernel::Entry>& cache,
-      BudgetGuard* guard);
-  /// Drop every cache, the pending dirty bookkeeping, and the incumbent
+  std::optional<Placement> resolveWith(const Kernel& kernel,
+                                       FrontierMemo<typename Kernel::Entry>& memo,
+                                       BudgetGuard* guard);
+  /// Runs `f` on the policy's memo (2-D or QoS).
+  template <typename F>
+  void withMemo(F&& f) {
+    if (policy_ == OnlinePolicy::ClosestQos)
+      f(memoQos_);
+    else
+      f(memo2d_);
+  }
+  /// Drop every cache, the reconstruction memo, and the incumbent
   /// assignment — back to the just-constructed state against the current
   /// instance. The scratch-fallback path of resolve().
   void invalidateCaches();
-  /// Sort the pending dirty list into postorder processing position and drop
-  /// duplicates (the same vertex stamped across several epochs).
-  void orderPendingDirty();
   void rebuildPositions();
   template <typename Entry>
-  void reconstruct(detail::FrontierCacheState<Entry>& cache,
-                   std::int32_t rootEntryIndex);
+  void reconstruct(const FrontierMemo<Entry>& memo, std::int32_t rootEntryIndex);
   /// Persistent-assignment maintenance after a feasible reconstruct: either a
   /// full rebuild (first solve, structural growth, Multiple after a global W
   /// change) or an O(changed region) repair driven by the replica-bit flips
@@ -188,17 +145,18 @@ class IncrementalSolver {
 
   ProblemInstance* instance_;
   OnlinePolicy policy_;
-  DirtyTracker tracker_;
   FrontierCacheStats stats_;
-  detail::FrontierCacheState<FrontierEntry> cache2d_;    ///< Closest/Multiple
-  detail::FrontierCacheState<QosFrontierEntry> cacheQos_;  ///< Closest + QoS
+  FrontierMemo<FrontierEntry> memo2d_;       ///< Closest/Multiple
+  FrontierMemo<QosFrontierEntry> memoQos_;   ///< Closest + QoS
 
-  /// Vertices stamped dirty since the last resolve (DirtyTracker::note
-  /// out-list). A resolve visits exactly these, sorted into postorder, so the
-  /// DP sweep costs O(dirty log dirty) instead of an O(s) epoch scan; a
-  /// global invalidation (or the first solve) falls back to the full sweep.
-  std::vector<VertexId> pendingDirty_;
-  bool pendingGlobal_ = true;
+  /// Reconstruction memo, per vertex: the entry index the last backpointer
+  /// walk chose, the memo epoch of that walk, and the resulting replica bit.
+  /// A walk that reaches a vertex with the same entry index and no stamp in
+  /// its subtree since (chosenEpoch >= dirtySince) skips the whole subtree —
+  /// its bits are still exact.
+  std::vector<std::int32_t> chosenEntry_;
+  std::vector<std::uint64_t> chosenEpoch_;
+  std::vector<char> replicaBit_;
   /// Clients whose request rate changed since the last *successful* repair
   /// (infeasible steps leave the incumbent assignment untouched, so their
   /// changes carry forward until a feasible step consumes them).
@@ -231,10 +189,10 @@ class IncrementalSolver {
 /// Memoized core/bounds FrontierSubtreeRelaxation: the per-subtree
 /// relaxation frontiers (the Multiple kernel under W_v — valid for every
 /// policy) are recomputed through the same relaxation step, but only for
-/// bags stamped dirty under IncrementalSolver's epoch scheme, while the
-/// cheap derived passes (ancestor capacities, per-subtree replica floors
-/// R_v, the additive decomposition bound) are rerun per refresh. Feeds
-/// knownLowerBound into the warm ILP re-solve path.
+/// the bags a FrontierMemo holds dirty, while the cheap derived passes
+/// (ancestor capacities, per-subtree replica floors R_v, the additive
+/// decomposition bound) are rerun per refresh. Feeds knownLowerBound into
+/// the warm ILP re-solve path.
 class IncrementalBounds {
  public:
   explicit IncrementalBounds(ProblemInstance& instance);
@@ -260,9 +218,8 @@ class IncrementalBounds {
 
  private:
   ProblemInstance* instance_;
-  DirtyTracker tracker_;
   FrontierCacheStats stats_;
-  detail::FrontierCacheState<FrontierEntry> cache_;
+  FrontierMemo<FrontierEntry> memo_;
   detail::RelaxationFloors floors_;
 };
 

@@ -7,11 +7,13 @@
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "core/frontier_drivers.hpp"
 #include "core/frontier_stream.hpp"
 #include "core/validate.hpp"
 #include "exact/closest_homogeneous.hpp"
 #include "exact/closest_qos.hpp"
 #include "exact/multiple_homogeneous.hpp"
+#include "tree/builder.hpp"
 #include "tree/generator.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
@@ -363,6 +365,142 @@ TEST(FrontierSolverEquivalence, ClosestStatsRespectWidthBound) {
   // One convolution per (internal parent, child) edge: n - 1 in total.
   EXPECT_EQ(stats.convolutions, inst.tree.vertexCount() - 1);
   EXPECT_GT(stats.arenaBytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ConstrainedClosestKernel through the memo driver: hand-built trees with a
+// known conditional optimum per VertexConstraint, and random re-constraint
+// walks checked against a fresh memo after every step.
+// ---------------------------------------------------------------------------
+
+/// Cheapest cost-weighted count of the memo's root frontier, or -1.
+std::int32_t memoOptimum(FrontierMemo<FrontierEntry>& memo, const Tree& tree) {
+  const ArenaStore<FrontierEntry> store(memo.arena);
+  const FrontierSpan root = memo.frontier[static_cast<std::size_t>(tree.root())];
+  const std::int32_t best = rootEntry(store, root);
+  return best < 0 ? -1 : store.at(root, static_cast<std::size_t>(best)).count;
+}
+
+/// One scratch pass of ConstrainedClosestKernel under `rule`.
+std::int32_t constrainedOptimum(const ProblemInstance& inst,
+                                const std::vector<VertexConstraint>& rule) {
+  const TreeDecomposition decomp(inst.tree);
+  FrontierMemo<FrontierEntry> memo;
+  memo.init(decomp, true);
+  memo.refold(ConstrainedClosestKernel(inst, rule), decomp);
+  return memoOptimum(memo, inst.tree);
+}
+
+TEST(ConstrainedClosestKernel, EveryConstraintOnAHandTree) {
+  // W = 2.  r -- g -- u -- c1(1), c2(1)
+  //              g -- c3(1)
+  //         r -- c4(1)
+  TreeBuilder b;
+  const VertexId r = b.addRoot(2);
+  const VertexId g = b.addInternal(r, 2);
+  const VertexId u = b.addInternal(g, 2);
+  b.addClient(u, 1);
+  b.addClient(u, 1);
+  b.addClient(g, 1);
+  b.addClient(r, 1);
+  b.useUnitCosts();
+  const ProblemInstance inst = b.build();
+  const auto optimum = [&](std::initializer_list<std::pair<VertexId, VertexConstraint>> set) {
+    std::vector<VertexConstraint> rule(inst.tree.vertexCount(), VertexConstraint::Free);
+    for (const auto& [v, c] : set) rule[static_cast<std::size_t>(v)] = c;
+    return constrainedOptimum(inst, rule);
+  };
+  using C = VertexConstraint;
+  EXPECT_EQ(optimum({}), 2);                       // u serves c1, c2; r serves c3, c4
+  EXPECT_EQ(optimum({{r, C::FreeZero}}), 1);       // r's replica comes for free
+  EXPECT_EQ(optimum({{u, C::ForcedZero}}), 1);     // u mandatory but free, r pays
+  EXPECT_EQ(optimum({{g, C::Forced}}), 3);         // g absorbs c3 only once u holds c1, c2
+  EXPECT_EQ(optimum({{g, C::Forbidden}}), 2);      // the optimum never used g
+  EXPECT_EQ(optimum({{u, C::Forbidden}}), -1);     // c1..c3 would reach g or r unsplit
+  EXPECT_EQ(optimum({{g, C::ForcedZero}, {u, C::Forbidden}}), -1);  // g would take 3 > W
+  // All Free is exactly the unconstrained Closest optimum.
+  EXPECT_EQ(optimum({}), static_cast<std::int32_t>(
+                             solveClosestHomogeneous(inst)->replicaCount()));
+}
+
+TEST(ConstrainedClosestKernel, ForcedReplicaAboveAServedSubtreeStaysCounted) {
+  // W = 1.  r -- v -- w -- c(1): forcing w serves c, and forcing v as well
+  // puts a replica over a subtree that is already fully served. Both stay in
+  // the count; r's child-forest chain then holds two replicas over a single
+  // client, which ClosestKernel::chainCap (min(clients, internals)) would cut.
+  TreeBuilder b;
+  const VertexId r = b.addRoot(1);
+  const VertexId v = b.addInternal(r, 1);
+  const VertexId w = b.addInternal(v, 1);
+  b.addClient(w, 1);
+  b.useUnitCosts();
+  const ProblemInstance inst = b.build();
+  std::vector<VertexConstraint> rule(inst.tree.vertexCount(), VertexConstraint::Free);
+  EXPECT_EQ(constrainedOptimum(inst, rule), 1);
+  rule[static_cast<std::size_t>(w)] = VertexConstraint::Forced;
+  rule[static_cast<std::size_t>(v)] = VertexConstraint::Forced;
+  EXPECT_EQ(constrainedOptimum(inst, rule), 2);
+  rule[static_cast<std::size_t>(r)] = VertexConstraint::Forced;
+  EXPECT_EQ(constrainedOptimum(inst, rule), 3);
+}
+
+TEST(ConstrainedClosestKernel, AllFreeMatchesClosestKernelFrontiers) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const ProblemInstance inst = testutil::smallRandomInstance(seed, 0.5, false, true, 20, 60);
+    const TreeDecomposition decomp(inst.tree);
+    const std::vector<VertexConstraint> rule(inst.tree.vertexCount(), VertexConstraint::Free);
+    FrontierMemo<FrontierEntry> plain, constrained;
+    plain.init(decomp, true);
+    constrained.init(decomp, true);
+    plain.refold(ClosestKernel(inst), decomp);
+    constrained.refold(ConstrainedClosestKernel(inst, rule), decomp);
+    for (const VertexId v : inst.tree.postorder())
+      EXPECT_EQ(fromArena(constrained.arena, constrained.frontier[static_cast<std::size_t>(v)]),
+                fromArena(plain.arena, plain.frontier[static_cast<std::size_t>(v)]))
+          << "seed " << seed << " vertex " << v;
+  }
+}
+
+TEST(ConstrainedClosestKernel, MemoReconstraintsMatchScratchPasses) {
+  GeneratorConfig config;
+  config.minSize = config.maxSize = 300;
+  config.clientFraction = 0.7;
+  config.maxRequests = 2;
+  config.lambda = 0.3;
+  config.unitCosts = true;
+  const ProblemInstance inst = generateInstance(config, 5150, 0);
+  const Tree& tree = inst.tree;
+  const TreeDecomposition decomp(tree);
+  std::vector<VertexConstraint> rule(tree.vertexCount(), VertexConstraint::Free);
+  FrontierMemo<FrontierEntry> memo;
+  memo.init(decomp, true);
+  EXPECT_EQ(memo.refold(ConstrainedClosestKernel(inst, rule), decomp), tree.vertexCount());
+
+  Prng rng(0xc0ffeeULL);
+  const auto& internals = tree.internals();
+  std::size_t compactions = 0;
+  for (int step = 0; step < 600; ++step) {
+    // Re-constrain one or two internals, then re-fold: exactly the union of
+    // their root paths is recomputed.
+    std::vector<char> onPath(tree.vertexCount(), 0);
+    std::size_t pathUnion = 0;
+    for (int k = 0; k < 1 + step % 2; ++k) {
+      const VertexId v = internals[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(internals.size()) - 1))];
+      rule[static_cast<std::size_t>(v)] = static_cast<VertexConstraint>(rng.uniformInt(0, 4));
+      memo.stamp(tree, {&v, 1});
+      for (VertexId u = v; u != kNoVertex; u = tree.parent(u))
+        if (!onPath[static_cast<std::size_t>(u)]) {
+          onPath[static_cast<std::size_t>(u)] = 1;
+          ++pathUnion;
+        }
+    }
+    if (memo.compactIfBloated()) ++compactions;
+    ASSERT_EQ(memo.refold(ConstrainedClosestKernel(inst, rule), decomp), pathUnion)
+        << "step " << step;
+    ASSERT_EQ(memoOptimum(memo, tree), constrainedOptimum(inst, rule)) << "step " << step;
+  }
+  EXPECT_GT(compactions, 0u);  // copy-compaction ran under checked answers
 }
 
 // ---------------------------------------------------------------------------

@@ -190,7 +190,9 @@ TEST(Multitree, LexicoMinimumMatchesBruteForceOnRandomFamily) {
   EXPECT_GE(compared, 100);
 }
 
-TEST(Multitree, SolverScalesBeyondTheOracle) {
+/// Three member trees of 300-400 vertices sharing 8 gateways: past the
+/// brute-force oracle's reach.
+MultitreeInstance scaleOverlay() {
   MultitreeConfig config;
   config.trees = 3;
   config.sharedInternals = 8;
@@ -202,7 +204,11 @@ TEST(Multitree, SolverScalesBeyondTheOracle) {
   config.base.minRequests = 1;
   config.base.maxRequests = 1;
   config.base.lambda = 0.2;
-  const MultitreeInstance mt = generateMultitreeInstance(config, 9001, 0);
+  return generateMultitreeInstance(config, 9001, 0);
+}
+
+TEST(Multitree, SolverScalesBeyondTheOracle) {
+  const MultitreeInstance mt = scaleOverlay();
   const MultitreeSolveResult result = solveMultitreeClosest(mt);
   ASSERT_TRUE(result.feasible);
   EXPECT_FALSE(result.stats.exhausted);
@@ -212,6 +218,22 @@ TEST(Multitree, SolverScalesBeyondTheOracle) {
   // The dirty-path machinery must actually be engaged at this size.
   EXPECT_GT(result.stats.dirtyRecomputes, 0u);
   EXPECT_GT(result.stats.dpResolves, mt.treeCount());
+  // The memo arena outgrows its live spans and is copy-compacted.
+  EXPECT_GT(result.stats.compactions, 0u);
+}
+
+TEST(Multitree, SearchPerformsThePinnedAmountOfWork) {
+  // The search's counters on one fixed overlay. The DFS, the per-tree
+  // resolves and the lexico probes are the search's own; dirty recomputes
+  // count exactly the re-constrained vertices' root paths. (When compaction
+  // marked the whole tree dirty and recomputed it, 2,959 more vertex
+  // recomputes showed up here: 13,874.)
+  const MultitreeSolveResult result = solveMultitreeClosest(scaleOverlay());
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.stats.dfsNodes, 307u);
+  EXPECT_EQ(result.stats.dpResolves, 1354u);
+  EXPECT_EQ(result.stats.lexicoTests, 439u);
+  EXPECT_EQ(result.stats.dirtyRecomputes, 10915u);
 }
 
 TEST(Multitree, BareInternalsRequireOptIn) {
